@@ -25,7 +25,6 @@ from .spectrum import (
     collocation_residual,
     eigenvalue,
     eigenvalue_components,
-    eigenvalue_via_weighting,
     spectrum_table,
     weighting,
 )
@@ -63,7 +62,7 @@ __all__ = [
     "TriMesh", "build_polar_grid", "make_annulus", "triangulate_annulus",
     "ModeIndex", "SpectrumError", "WeightingProfile", "build_series",
     "collocation_residual", "eigenvalue", "eigenvalue_components",
-    "eigenvalue_via_weighting", "spectrum_table", "weighting",
+    "spectrum_table", "weighting",
     "KineticParams", "StabilityLabel", "StabilityVerdict", "classify_multimode",
     "classify_point", "steady_state", "trace_det",
     "RegionMap", "SweepSpec", "build_curves", "sweep_classify",

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -33,13 +35,32 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def write_text(path, text: str) -> Path:
-    """Write text with LF endings and UTF-8, byte-stable across runs."""
+@contextmanager
+def replacing(path, mode: str):
+    """Write path in mode "w" (UTF-8, LF) or "wb" through a temporary file beside it.
+
+    The file is renamed onto path only when the block succeeds; on any
+    failure it is removed and path keeps its old content. It sits in the
+    same directory because os.replace is only atomic within a file system.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": "\n"}
+    try:
+        with open(tmp, mode, **text) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_text(path, text: str) -> Path:
+    """Write text with LF endings and UTF-8, byte-stable across runs, atomically."""
+    with replacing(path, "w") as f:
         f.write(text)
-    return path
+    return Path(path)
 
 
 def append_manifest(out_dir, subcommand: str, config: dict, outputs, *,

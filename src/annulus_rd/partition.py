@@ -32,17 +32,7 @@ from numpy.polynomial import Polynomial
 
 from .geometry import AnnulusGeometry
 from .spectrum import ModeIndex, eigenvalue
-from .stability import FORMS, StabilityLabel
-
-LABEL_CODES = {
-    StabilityLabel.STABLE_NODE: 0,
-    StabilityLabel.STABLE_SPIRAL: 1,
-    StabilityLabel.TURING: 2,
-    StabilityLabel.HOPF: 3,
-    StabilityLabel.TRANSCRITICAL_CURVE: 4,
-    StabilityLabel.DISCRIMINANT_CURVE: 5,
-}
-CODE_LABELS = {v: k for k, v in LABEL_CODES.items()}
+from .stability import CODE_LABELS, FORMS, LABEL_CODES, _label_codes, _trace_det
 
 
 class PartitionError(RuntimeError):
@@ -107,31 +97,6 @@ class RegionMap:
                 for label, code in LABEL_CODES.items()}
 
 
-def _trace_det_grid(A, B, gamma, d, eta_sq, form):
-    s = A + B
-    T = gamma * (B - A - s**3) / s - (d + 1.0) * eta_sq
-    diffusion = d * eta_sq if form == "consistent" else (d + 1.0) * eta_sq
-    D = (gamma * (B - A) / s - eta_sq) * (-gamma * s * s - diffusion) + 2.0 * gamma * gamma * B * s
-    return T, D
-
-
-def _labels_from_trace_det(T: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """Vectorized version of the sign table in stability.classify_point."""
-    disc = T * T - 4.0 * D
-    scale = np.maximum(1.0, np.maximum(np.abs(T), np.sqrt(np.abs(D))))
-    tol = 1e-6 * scale
-    band = tol * scale
-    out = np.full(T.shape, LABEL_CODES[StabilityLabel.DISCRIMINANT_CURVE], dtype=np.int8)
-    complex_pair = disc < -band
-    real_pair = disc > band
-    out[complex_pair & (T < -tol)] = LABEL_CODES[StabilityLabel.STABLE_SPIRAL]
-    out[complex_pair & (T > tol)] = LABEL_CODES[StabilityLabel.HOPF]
-    out[complex_pair & (np.abs(T) <= tol)] = LABEL_CODES[StabilityLabel.TRANSCRITICAL_CURVE]
-    out[real_pair & (T < 0.0) & (D > 0.0)] = LABEL_CODES[StabilityLabel.STABLE_NODE]
-    out[real_pair & ~((T < 0.0) & (D > 0.0))] = LABEL_CODES[StabilityLabel.TURING]
-    return out
-
-
 def sweep_classify(spec: SweepSpec, threads: int = 1) -> RegionMap:
     """Classify every grid cell; optionally share rows across worker threads.
 
@@ -144,8 +109,7 @@ def sweep_classify(spec: SweepSpec, threads: int = 1) -> RegionMap:
 
     def rows(j0: int, j1: int) -> np.ndarray:
         B = betas[j0:j1, None]
-        T, D = _trace_det_grid(A, B, spec.gamma, spec.d, eta_sq, spec.form)
-        return _labels_from_trace_det(T, D)
+        return _label_codes(*_trace_det(A, B, spec.gamma, spec.d, eta_sq, spec.form))
 
     if threads <= 1:
         labels = rows(0, spec.n_beta)
@@ -180,7 +144,7 @@ def first_principles_labels(spec: SweepSpec) -> np.ndarray:
     sigma = np.linalg.eigvals(M)
     T = sigma.sum(axis=-1).real
     D = (sigma[..., 0] * sigma[..., 1]).real
-    return _labels_from_trace_det(T, D)
+    return _label_codes(T, D)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +238,34 @@ def _cross_checked_roots(poly_roots: np.ndarray, bisect_roots: np.ndarray,
     return poly_roots
 
 
+def _curve(spec: SweepSpec, alpha_samples, what: str, which: int, defining) -> np.ndarray:
+    """Dual-method roots in beta of one defining function, per alpha sample.
+
+    which picks the cleared polynomial (0: s*T, 1: s^2 (T^2 - 4D));
+    defining(T, D) returns the function's value and the scale its tangency
+    residual is measured against. Points come sorted, as an (n, 2) array.
+    """
+    eta_sq = spec.eta_sq
+    points = []
+    for alpha in np.atleast_1d(np.asarray(alpha_samples, dtype=np.float64)):
+        if not (spec.alpha_min <= alpha <= spec.alpha_max):
+            raise PartitionError(f"alpha sample {alpha!r} outside the sweep window")
+        poly = _cleared_polynomials(alpha, spec.gamma, spec.d, eta_sq, spec.form)[which]
+
+        def value_scale(beta, alpha=alpha):
+            return defining(*_trace_det(alpha, beta, spec.gamma, spec.d, eta_sq, spec.form))
+
+        def residual(beta):
+            value, scale = value_scale(beta)
+            return value / scale
+
+        proots = _merge_close(_real_roots_in(poly, spec.beta_min, spec.beta_max))
+        broots = _bisect_roots(lambda beta: value_scale(beta)[0], spec.beta_min, spec.beta_max)
+        for beta in _cross_checked_roots(proots, broots, residual, float(alpha), what):
+            points.append((float(alpha), float(beta)))
+    return np.array(sorted(points)).reshape(-1, 2)
+
+
 def discriminant_curve(spec: SweepSpec, alpha_samples) -> np.ndarray:
     """(alpha, beta) points with T^2 = 4D inside the sweep window.
 
@@ -281,27 +273,8 @@ def discriminant_curve(spec: SweepSpec, alpha_samples) -> np.ndarray:
     bisection (agreement 1e-8, tangencies admitted by residual); returns an
     (n, 2) array sorted by (alpha, beta).
     """
-    eta_sq = spec.eta_sq
-    points = []
-    for alpha in np.atleast_1d(np.asarray(alpha_samples, dtype=np.float64)):
-        if not (spec.alpha_min <= alpha <= spec.alpha_max):
-            raise PartitionError(f"alpha sample {alpha!r} outside the sweep window")
-        _, G = _cleared_polynomials(alpha, spec.gamma, spec.d, eta_sq, spec.form)
-
-        def g(beta, alpha=alpha):
-            T, D = _trace_det_grid(alpha, np.asarray(beta), spec.gamma, spec.d, eta_sq, spec.form)
-            return T * T - 4.0 * D
-
-        def scaled_residual(beta, alpha=alpha):
-            T, D = _trace_det_grid(alpha, beta, spec.gamma, spec.d, eta_sq, spec.form)
-            return (T * T - 4.0 * D) / (1.0 + T * T)
-
-        proots = _merge_close(_real_roots_in(G, spec.beta_min, spec.beta_max))
-        broots = _bisect_roots(g, spec.beta_min, spec.beta_max)
-        for beta in _cross_checked_roots(proots, broots, scaled_residual, float(alpha),
-                                         "discriminant curve"):
-            points.append((float(alpha), float(beta)))
-    return np.array(sorted(points)).reshape(-1, 2)
+    return _curve(spec, alpha_samples, "discriminant curve", 1,
+                  lambda T, D: (T * T - 4.0 * D, 1.0 + T * T))
 
 
 def transcritical_curve(spec: SweepSpec, alpha_samples) -> np.ndarray:
@@ -311,30 +284,12 @@ def transcritical_curve(spec: SweepSpec, alpha_samples) -> np.ndarray:
     determinant is not positive are discarded (they are not temporal-onset
     points).
     """
+    points = _curve(spec, alpha_samples, "transcritical curve", 0,
+                    lambda T, D: (T, 1.0 + abs(T)))
     eta_sq = spec.eta_sq
-    points = []
-    for alpha in np.atleast_1d(np.asarray(alpha_samples, dtype=np.float64)):
-        if not (spec.alpha_min <= alpha <= spec.alpha_max):
-            raise PartitionError(f"alpha sample {alpha!r} outside the sweep window")
-        P, _ = _cleared_polynomials(alpha, spec.gamma, spec.d, eta_sq, spec.form)
-
-        def t_of(beta, alpha=alpha):
-            T, _ = _trace_det_grid(alpha, np.asarray(beta), spec.gamma, spec.d, eta_sq, spec.form)
-            return T
-
-        def t_residual(beta, alpha=alpha):
-            T, _ = _trace_det_grid(alpha, beta, spec.gamma, spec.d, eta_sq, spec.form)
-            return T / (1.0 + abs(T))
-
-        proots = _merge_close(_real_roots_in(P, spec.beta_min, spec.beta_max))
-        broots = _bisect_roots(t_of, spec.beta_min, spec.beta_max)
-        for beta in _cross_checked_roots(proots, broots, t_residual, float(alpha),
-                                         "transcritical curve"):
-            _, D = _trace_det_grid(float(alpha), float(beta), spec.gamma, spec.d,
-                                   eta_sq, spec.form)
-            if D > 0.0:
-                points.append((float(alpha), float(beta)))
-    return np.array(sorted(points)).reshape(-1, 2)
+    D = [_trace_det(float(alpha), float(beta), spec.gamma, spec.d, eta_sq, spec.form)[1]
+         for alpha, beta in points]
+    return points[np.array(D) > 0.0]
 
 
 @dataclass(frozen=True)
@@ -372,7 +327,7 @@ def export_region_map(region: RegionMap, csv_path, raster_path=None,
     The raster has one pixel per cell, rows running from beta_max (top) to
     beta_min (bottom); the legend file maps each label to its gray level.
     """
-    from ._util import fmt, write_text
+    from ._util import fmt, replacing, write_text
 
     spec = region.spec
     alphas, betas = spec.alphas, spec.betas
@@ -388,7 +343,7 @@ def export_region_map(region: RegionMap, csv_path, raster_path=None,
         for code, level in _RASTER_LEVELS.items():
             img[region.labels == code] = level
         img = img[::-1]  # beta_max on top
-        with open(raster_path, "wb") as f:
+        with replacing(raster_path, "wb") as f:
             f.write(f"P5\n{spec.n_alpha} {spec.n_beta}\n255\n".encode("ascii"))
             f.write(img.tobytes())
     if legend_path is not None:

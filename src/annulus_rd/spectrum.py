@@ -77,16 +77,45 @@ class Eigenpair:
         return float(np.sqrt(self.eta_sq))
 
 
-def _order_factor(k: int, l: float) -> float:
-    """4 (2k+1) (l+2k+1) (l+4k) / (l+4k+2); the geometry-free part."""
-    return 4.0 * (2 * k + 1) * (l + 2 * k + 1) * (l + 4 * k) / (l + 4 * k + 2)
+def _closed_form(k, l, a, b):
+    """The closed form in its pieces, broadcast over k, l, a and b.
+
+    Returns (weight, order, inner, outer): the thickness weighting
+    (a^(l-1) + b^(l-1)) / (a^(l+1) + b^(l+1)), exactly 1/(ab) at l = 0; the
+    order factor 4 (2k+1)(l+2k+1)(l+4k)/(l+4k+2); and the inner- and
+    outer-radius parts of eta^2 = weight * order, whose sum is eta^2 up to
+    round-off. Powers are taken in log space, safe for large |l|. Nothing
+    is validated and no warning raised: callers reject the modes where the
+    result is not finite.
+    """
+    l = np.asarray(l, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        la, lb = np.log(a), np.log(b)
+        order = 4.0 * (2 * k + 1) * (l + 2 * k + 1) * (l + 4 * k) / (l + 4 * k + 2)
+        log_inner, log_outer = (l - 1) * la, (l - 1) * lb
+        log_den = np.logaddexp((l + 1) * la, (l + 1) * lb)
+        weight = np.where(l == 0.0, 1.0 / (a * b),
+                          np.exp(np.logaddexp(log_inner, log_outer) - log_den))
+        return (weight, order, np.exp(log_inner - log_den) * order,
+                np.exp(log_outer - log_den) * order)
 
 
-def _geometry_factor(a: float, b: float, l: float) -> float:
-    """(a^(l-1) + b^(l-1)) / (a^(l+1) + b^(l+1)), in log space for large |l|."""
-    la, lb = np.log(a), np.log(b)
-    return float(np.exp(np.logaddexp((l - 1) * la, (l - 1) * lb)
-                        - np.logaddexp((l + 1) * la, (l + 1) * lb)))
+def _eigenvalues(k, l, a, b) -> np.ndarray:
+    """eta^2 over broadcast arrays of modes and radii, checked like eigenvalue().
+
+    The first entry in row-major order that ModeIndex or eigenvalue() would
+    reject is handed to them, so it raises their error and message.
+    """
+    k, l, a, b = np.broadcast_arrays(k, l, a, b)
+    weight, order, _, _ = _closed_form(k, l, a, b)
+    eta_sq = weight * order
+    # negated comparisons also flag NaN, which ModeIndex refuses as well
+    bad = (~(k >= 0) | (k != np.trunc(k))
+           | ~(np.abs(l - np.round(2.0 * l) / 2.0) > HALF_INTEGER_TOL) | (eta_sq < 0.0))
+    if bad.any():
+        i = np.unravel_index(np.argmax(bad), bad.shape)
+        eigenvalue(ModeIndex(k[i].item(), l[i].item()), AnnulusGeometry(a[i].item(), b[i].item()))
+    return eta_sq
 
 
 def eigenvalue(mode: ModeIndex, geom: AnnulusGeometry, *,
@@ -97,7 +126,8 @@ def eigenvalue(mode: ModeIndex, geom: AnnulusGeometry, *,
     regime is rejected unless allow_negative is set, since a negative
     eta^2 has no oscillatory eigenmode attached to it.
     """
-    value = _geometry_factor(geom.a, geom.b, mode.l) * _order_factor(mode.k, mode.l)
+    weight, order, _, _ = _closed_form(mode.k, mode.l, geom.a, geom.b)
+    value = float(weight * order)
     if value < 0.0 and not allow_negative:
         raise SpectrumError(
             f"eta^2 = {value} is negative for mode (k={mode.k}, l={mode.l}); "
@@ -112,13 +142,8 @@ def eigenvalue_components(mode: ModeIndex, geom: AnnulusGeometry) -> tuple[float
     outer-radius weight b^(l-1), both over the shared denominator
     a^(l+1) + b^(l+1).
     """
-    a, b, l = geom.a, geom.b, mode.l
-    la, lb = np.log(a), np.log(b)
-    log_den = np.logaddexp((l + 1) * la, (l + 1) * lb)
-    g = _order_factor(mode.k, l)
-    eta1 = float(np.exp((l - 1) * la - log_den)) * g
-    eta2 = float(np.exp((l - 1) * lb - log_den)) * g
-    return eta1, eta2
+    _, _, inner, outer = _closed_form(mode.k, mode.l, geom.a, geom.b)
+    return float(inner), float(outer)
 
 
 def eigenpair(mode: ModeIndex, geom: AnnulusGeometry) -> Eigenpair:
@@ -150,11 +175,8 @@ class WeightingProfile:
 
 def weighting(profile: WeightingProfile) -> float:
     """Evaluate the weighting function, exactly 1/(a(rho+a)) at l = 0."""
-    a, l = profile.a, profile.l
-    b = a + profile.rho
-    if l == 0.0:
-        return 1.0 / (a * b)
-    return _geometry_factor(a, b, l)
+    a = profile.a
+    return float(_closed_form(0, profile.l, a, a + profile.rho)[0])
 
 
 @dataclass(frozen=True)
@@ -186,21 +208,6 @@ def weighting_supremum(a: float, rho: float, branch: str) -> WeightingSupremum:
     else:
         raise SpectrumError(f"branch must be 'negative-l' or 'positive-l', got {branch!r}")
     return WeightingSupremum(branch, printed, numeric, abs(printed - numeric))
-
-
-def eigenvalue_via_weighting(mode: ModeIndex, a: float, rho: float, *,
-                             allow_negative: bool = False) -> float:
-    """eta^2 written as weighting(a, rho, l) times the order factor.
-
-    Identical to eigenvalue() with b = a + rho; kept separate because the
-    thickness-threshold analysis manipulates this factored form.
-    """
-    value = weighting(WeightingProfile(a, rho, mode.l)) * _order_factor(mode.k, mode.l)
-    if value < 0.0 and not allow_negative:
-        raise SpectrumError(
-            f"eta^2 = {value} is negative for mode (k={mode.k}, l={mode.l}); "
-            f"pass allow_negative=True to accept it")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +448,10 @@ def render_phase_plot(series: EigenfunctionSeries, eta: float,
     rgb = _hsv_to_rgb(hue, np.ones_like(hue), val)
     img = np.clip(np.rint(rgb * 255.0), 0, 255).astype(np.uint8)
 
-    header = f"P6\n{n} {n}\n255\n".encode("ascii")
-    with open(path, "wb") as f:
-        f.write(header)
+    from ._util import replacing
+
+    with replacing(path, "wb") as f:
+        f.write(f"P6\n{n} {n}\n255\n".encode("ascii"))
         f.write(img.tobytes())
     return img
 
@@ -465,10 +473,7 @@ def spectrum_table(k_range, l_list, geom: AnnulusGeometry) -> SpectrumTable:
     """Tabulate eta_{k,l} = sqrt(eta^2) over a rectangle of modes."""
     ks = np.array(sorted(int(k) for k in k_range), dtype=np.int64)
     ls = np.array([float(l) for l in l_list])
-    table = np.empty((len(ks), len(ls)))
-    for i, k in enumerate(ks):
-        for j, l in enumerate(ls):
-            table[i, j] = np.sqrt(eigenvalue(ModeIndex(int(k), l), geom))
+    table = np.sqrt(_eigenvalues(ks[:, None], ls[None, :], geom.a, geom.b))
     return SpectrumTable(ks, ls, table)
 
 

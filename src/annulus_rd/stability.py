@@ -27,7 +27,8 @@ from enum import Enum
 
 import numpy as np
 
-from .spectrum import ModeIndex, eigenvalue_via_weighting
+from .geometry import make_annulus
+from .spectrum import ModeIndex, _eigenvalues, eigenvalue
 
 FORMS = ("consistent", "paper-literal")
 
@@ -73,23 +74,29 @@ def steady_state(params: KineticParams) -> SteadyState:
     return SteadyState(s, params.beta / (s * s))
 
 
+def _trace_det(alpha, beta, gamma, d, eta_sq, form: str):
+    """Trace and determinant of the linearization, broadcast over array arguments."""
+    s = alpha + beta
+    T = gamma * (beta - alpha - s**3) / s - (d + 1.0) * eta_sq
+    diffusion = d * eta_sq if form == "consistent" else (d + 1.0) * eta_sq
+    D = (gamma * (beta - alpha) / s - eta_sq) * (-gamma * s * s - diffusion) \
+        + 2.0 * gamma * gamma * beta * s
+    return T, D
+
+
 def trace_det(params: KineticParams, eta_sq: float, form: str = "consistent") -> tuple[float, float]:
     """Trace and determinant of the linearization at the steady state.
 
     form selects how the (2,2) entry's diffusion term enters the
     determinant: 'consistent' uses d eta^2 (the matrix entry),
-    'paper-literal' uses (d+1) eta^2 (the printed expression).
+    'paper-literal' uses (d+1) eta^2 (the printed expression). eta_sq may
+    be an array of eigenvalues, giving arrays T and D of its shape.
     """
     if form not in FORMS:
         raise StabilityError(f"form must be one of {FORMS}, got {form!r}")
-    if not (eta_sq >= 0.0):
+    if not np.all(eta_sq >= 0.0):
         raise StabilityError(f"eta_sq must be non-negative, got {eta_sq}")
-    a, b, g, d = params.alpha, params.beta, params.gamma, params.d
-    s = a + b
-    T = g * (b - a - s**3) / s - (d + 1.0) * eta_sq
-    diffusion = d * eta_sq if form == "consistent" else (d + 1.0) * eta_sq
-    D = (g * (b - a) / s - eta_sq) * (-g * s * s - diffusion) + 2.0 * g * g * b * s
-    return T, D
+    return _trace_det(params.alpha, params.beta, params.gamma, params.d, eta_sq, form)
 
 
 def roots(T: float, D: float) -> tuple[complex, complex]:
@@ -123,38 +130,53 @@ class StabilityVerdict:
     label: StabilityLabel
 
 
-def _label_from_signs(T: float, D: float, disc: float, tol: float, scale: float) -> StabilityLabel:
-    # disc has the dimensions of T^2, so its band is tol*scale
-    if disc < -tol * scale:
-        if T < -tol:
-            return StabilityLabel.STABLE_SPIRAL
-        if T > tol:
-            return StabilityLabel.HOPF
-        # on the trace-zero curve with complex roots; D > T^2/4 >= 0 holds
-        return StabilityLabel.TRANSCRITICAL_CURVE
-    if disc > tol * scale:
-        if T < 0.0 and D > 0.0:
-            return StabilityLabel.STABLE_NODE
-        return StabilityLabel.TURING
-    return StabilityLabel.DISCRIMINANT_CURVE
+# integer codes of the labels in region maps and rasters
+LABEL_CODES = {
+    StabilityLabel.STABLE_NODE: 0,
+    StabilityLabel.STABLE_SPIRAL: 1,
+    StabilityLabel.TURING: 2,
+    StabilityLabel.HOPF: 3,
+    StabilityLabel.TRANSCRITICAL_CURVE: 4,
+    StabilityLabel.DISCRIMINANT_CURVE: 5,
+}
+CODE_LABELS = {v: k for k, v in LABEL_CODES.items()}
 
 
-def classify_point(params: KineticParams, eta_sq: float, form: str = "consistent",
-                   tol_curve: float | None = None) -> StabilityVerdict:
-    """Classify the steady state for one eigenvalue eta^2.
+def _label_codes(T, D) -> np.ndarray:
+    """The sign table: label code of each (T, D) pair, broadcast over arrays.
 
-    The two partitioning curves (trace zero with positive determinant, and
-    discriminant zero) have measure zero, so membership is decided within a
-    band: tol_curve defaults to 1e-6 * max(1, |T|, sqrt(|D|)). The label is
-    a pure function of the signs of (discriminant, T, D) relative to that
-    band.
+    The partitioning curves have measure zero, so membership is decided
+    within a band: T against tol = 1e-6 * max(1, |T|, sqrt(|D|)), and the
+    discriminant, which has the dimensions of T^2, against tol * that max.
     """
-    T, D = trace_det(params, eta_sq, form)
+    T, D = np.asarray(T), np.asarray(D)
     disc = T * T - 4.0 * D
-    scale = max(1.0, abs(T), np.sqrt(abs(D)))
-    tol = 1e-6 * scale if tol_curve is None else float(tol_curve)
+    scale = np.maximum(1.0, np.maximum(np.abs(T), np.sqrt(np.abs(D))))
+    tol = 1e-6 * scale
+    band = tol * scale
+    out = np.full(T.shape, LABEL_CODES[StabilityLabel.DISCRIMINANT_CURVE], dtype=np.int8)
+    complex_pair = disc < -band
+    real_pair = disc > band
+    out[complex_pair & (T < -tol)] = LABEL_CODES[StabilityLabel.STABLE_SPIRAL]
+    out[complex_pair & (T > tol)] = LABEL_CODES[StabilityLabel.HOPF]
+    # on the trace-zero curve with complex roots; D > T^2/4 >= 0 holds
+    out[complex_pair & (np.abs(T) <= tol)] = LABEL_CODES[StabilityLabel.TRANSCRITICAL_CURVE]
+    node = (T < 0.0) & (D > 0.0)
+    out[real_pair & node] = LABEL_CODES[StabilityLabel.STABLE_NODE]
+    out[real_pair & ~node] = LABEL_CODES[StabilityLabel.TURING]
+    return out
+
+
+def _verdict(T: float, D: float, code) -> StabilityVerdict:
     s1, s2 = roots(T, D)
-    return StabilityVerdict(T, D, disc, s1, s2, _label_from_signs(T, D, disc, tol, scale))
+    return StabilityVerdict(T, D, T * T - 4.0 * D, s1, s2, CODE_LABELS[int(code)])
+
+
+def classify_point(params: KineticParams, eta_sq: float,
+                   form: str = "consistent") -> StabilityVerdict:
+    """Classify the steady state for one eigenvalue eta^2 by the sign table (_label_codes)."""
+    T, D = trace_det(params, eta_sq, form)
+    return _verdict(T, D, _label_codes(T, D))
 
 
 @dataclass(frozen=True)
@@ -176,18 +198,14 @@ def classify_multimode(params: KineticParams, l: float, k_max: int, a: float,
     """
     if k_max < 0:
         raise StabilityError(f"k_max must be non-negative, got {k_max}")
-    entries = []
-    best = None
-    best_growth = -np.inf
-    for k in range(k_max + 1):
-        eta_sq = eigenvalue_via_weighting(ModeIndex(k, l), a, rho)
-        verdict = classify_point(params, eta_sq, form)
-        entries.append((k, verdict))
-        growth = max(verdict.sigma1.real, verdict.sigma2.real)
-        if growth > best_growth:
-            best_growth = growth
-            best = (k, verdict)
-    return MultimodeResult(best[0], best[1], tuple(entries))
+    geom = make_annulus(a, a + rho)
+    ks = range(k_max + 1)
+    T, D = trace_det(params, _eigenvalues(np.array(ks), l, geom.a, geom.b), form)
+    entries = tuple((k, _verdict(float(t), float(dd), code))
+                    for k, t, dd, code in zip(ks, T, D, _label_codes(T, D)))
+    # first maximum wins ties, so the lowest such k is selected
+    best = max(entries, key=lambda e: max(e[1].sigma1.real, e[1].sigma2.real))
+    return MultimodeResult(best[0], best[1], entries)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +241,7 @@ def hopf_admissibility(d: float, gamma: float, mode: ModeIndex, a: float,
                        rho: float) -> HopfAdmissibility:
     """Check thickness admissibility for temporal bifurcation, both ways."""
     threshold = _bound(8.0, d, gamma, mode, a)
-    exact = gamma > (d + 1.0) * eigenvalue_via_weighting(mode, a, rho)
+    exact = gamma > (d + 1.0) * eigenvalue(mode, make_annulus(a, a + rho))
     return HopfAdmissibility(threshold, rho >= threshold, exact)
 
 

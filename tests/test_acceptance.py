@@ -69,15 +69,15 @@ def test_criterion_5_attainable_clauses():
     assert len(pts) == 6
 
 
-def test_criterion_6_sweep_oracle_equivalence():
+def test_criterion_6_curve_residuals():
     _check(verify.criterion_6())
 
 
-def test_criterion_7_curve_extraction():
+def test_criterion_7_sweep_oracle_equivalence():
     _check(verify.criterion_7())
 
 
-def test_criterion_8_admissibility_and_bounds():
+def test_criterion_8_fixed_point():
     _check(verify.criterion_8())
 
 

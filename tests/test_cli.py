@@ -87,6 +87,10 @@ def test_domain_errors(tmp_path):
     assert_exit(proc, 4)
     assert "E_DOMAIN:" in proc.stderr
 
+    proc = run_cli("spectrum", "--l-start", "0.5", cwd=tmp_path)
+    assert_exit(proc, 4)
+    assert "E_DOMAIN:" in proc.stderr
+
 
 def test_runtime_error_on_explicit_blowup(tmp_path):
     proc = run_cli("simulate", "--kinetics", "explicit", "--h", "0.15",

@@ -17,7 +17,6 @@ from annulus_rd.spectrum import (
     eigenpair,
     eigenvalue,
     eigenvalue_components,
-    eigenvalue_via_weighting,
     export_spectrum_csv,
     radial_part,
     render_phase_plot,
@@ -90,10 +89,13 @@ def test_superposition(k, l, a, rho):
 
 @given(k=_k_values, l=_l_values, a=_a_values, rho=_rho_values)
 def test_weighting_composition(k, l, a, rho):
-    mode = ModeIndex(k, l)
-    via = eigenvalue_via_weighting(mode, a, rho)
-    direct = eigenvalue(mode, make_annulus(a, a + rho))
-    assert abs(via - direct) <= 1e-12 * abs(direct)
+    # weighting x order factor, formed in log space, against the closed
+    # form as printed, evaluated in plain powers
+    b = a + rho
+    printed = (4.0 * (a**l * b + a * b**l) * (2 * k + 1) * (l + 2 * k + 1) * (l + 4 * k)
+               / (a * b * (a**(l + 1) + b**(l + 1)) * (l + 4 * k + 2)))
+    direct = eigenvalue(ModeIndex(k, l), make_annulus(a, b))
+    assert abs(direct - printed) <= 1e-12 * abs(printed)
 
 
 def test_weighting_exact_values():
@@ -213,6 +215,21 @@ def test_spectrum_csv_export(tmp_path):
     assert lines[1].startswith("1,")
     got = float(lines[1].split(",")[1])
     assert got == pytest.approx(7.102693615644246, abs=1e-4)
+
+
+@pytest.mark.parametrize("k_range, l_list, k, l", [
+    (range(1, 3), [0.3, 1.5], 1, 1.5),            # half-integer order
+    (range(0, 3), [0.3, -0.3], 0, -0.3),          # negative eta^2
+    (range(-1, 2), [0.3], -1, 0.3),               # negative k
+    (range(1, 3), [0.3, float("nan")], 1, float("nan")),
+])
+def test_spectrum_table_rejects_like_eigenvalue(k_range, l_list, k, l):
+    with pytest.raises(ValueError) as scalar:
+        eigenvalue(ModeIndex(k, l), GEOM)
+    with pytest.raises(ValueError) as table:
+        spectrum_table(k_range, l_list, GEOM)
+    assert type(table.value) is type(scalar.value)
+    assert str(table.value) == str(scalar.value)
 
 
 def test_telescoping_residual():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from annulus_rd.spectrum import ModeIndex
+from annulus_rd.geometry import make_annulus
+from annulus_rd.spectrum import ModeIndex, eigenvalue
 from annulus_rd.stability import (
     FORMS,
     HopfAdmissibility,
@@ -202,6 +203,24 @@ def test_multimode_selection():
 
     with pytest.raises(StabilityError):
         classify_multimode(TURING, 1.3, -1, 0.5, 0.5)
+
+
+_SCAN = np.random.default_rng(20261018).uniform(0.02, 0.98, size=(2, 2))
+
+
+@pytest.mark.parametrize("params", [
+    TURING, HOPF,
+    *(KineticParams(alpha, beta, 250.0, 10.0) for alpha, beta in _SCAN)])
+@pytest.mark.parametrize("form", FORMS)
+def test_multimode_equals_per_mode_classify_point(params, form):
+    # the vectorized scan must reproduce the scalar path exactly, not approximately
+    res = classify_multimode(params, l=1.3, k_max=12, a=0.5, rho=0.5, form=form)
+    geom = make_annulus(0.5, 1.0)
+    assert [k for k, _ in res.per_mode] == list(range(13))
+    for k, verdict in res.per_mode:
+        # dataclass equality: every field compared with ==
+        assert verdict == classify_point(params, eigenvalue(ModeIndex(k, 1.3), geom), form), k
+    assert res.verdict is dict(res.per_mode)[res.selected_k]
 
 
 def test_admissibility_frozen_values():
