@@ -10,9 +10,9 @@ Cartesian coordinates (the initial data are Cartesian; the polar form of the
 operator is the same thing on the interior). Zero flux is natural: no
 boundary terms appear in the weak form.
 
-Diffusion is always implicit (backward Euler solve by warm-started conjugate
-gradients); kinetics are evaluated nodally (group finite elements) with one
-of three treatments selected by RunConfig.kinetics:
+Diffusion is always implicit (backward Euler, by LU factors of its constant
+matrices computed once per run, or inside the implicit Newton system); nodal
+kinetics (group finite elements) take one of three RunConfig.kinetics forms:
 
     "explicit"  - kinetics frozen at the old state:
                   (M + dt K) u+   = M u + dt gamma M f(u, v),
@@ -139,8 +139,6 @@ class RunConfig:
     threshold: float = 5e-4
     snapshot_times: tuple = ()
     lumped: bool = False
-    solver_maxiter: int = 5000
-    solver_rtol: float = 1e-10
     kinetics: str = "split"
 
     def __post_init__(self):
@@ -150,21 +148,11 @@ class RunConfig:
             raise FemError(f"threshold must be non-negative, got {self.threshold}")
         if not (self.t_end > 0.0):
             raise FemError(f"t_end must be positive, got {self.t_end}")
+        if not (0.5 < self.t_end / self.dt < np.inf):
+            raise FemError(f"t_end/dt = {self.t_end / self.dt:g} rounds to no finite step count >= 1")
         if self.kinetics not in ("split", "implicit", "explicit"):
             raise FemError(
                 f"kinetics must be 'split', 'implicit' or 'explicit', got {self.kinetics!r}")
-
-
-def _solve(A, b, x0, maxiter, what, rtol=1e-10):
-    if not np.all(np.isfinite(b)):
-        raise FemError(f"non-finite right-hand side in {what}")
-    # failure is reported through info; silence the NaN chatter cg emits
-    # internally when a blown-up state makes the iteration break down
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x, info = cg(A, b, x0=x0, rtol=rtol, atol=0.0, maxiter=maxiter)
-    if info != 0:
-        raise FemError(f"conjugate gradients failed on {what} (info={info}, maxiter={maxiter})")
-    return x
 
 
 def diffusion_step(ops: FemOperators, values: np.ndarray, dt: float,
@@ -174,7 +162,8 @@ def diffusion_step(ops: FemOperators, values: np.ndarray, dt: float,
 
     With lumped=True the diagonal row-sum mass replaces M on both sides;
     on a Delaunay mesh that system is an M-matrix and the discrete maximum
-    principle holds (new extremes never exceed old ones).
+    principle holds (new extremes never exceed old ones). Solved by
+    conjugate gradients warm-started at values.
     """
     if lumped:
         A = diags(ops.lumped) + dt * coefficient * ops.stiffness
@@ -182,17 +171,25 @@ def diffusion_step(ops: FemOperators, values: np.ndarray, dt: float,
     else:
         A = ops.mass + dt * coefficient * ops.stiffness
         b = ops.mass @ values
-    return _solve(A, b, values, maxiter, "diffusion step", rtol=rtol)
+    if not np.all(np.isfinite(b)):
+        raise FemError("non-finite right-hand side in diffusion step")
+    # failure is reported through info; silence the NaN chatter cg emits
+    # internally when a blown-up state makes the iteration break down
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x, info = cg(A, b, x0=values, rtol=rtol, atol=0.0, maxiter=maxiter)
+    if info != 0:
+        raise FemError(f"conjugate gradients failed on diffusion step (info={info}, maxiter={maxiter})")
+    return x
 
 
 class _Stepper:
     """Caches per-run matrices and factorizations across steps.
 
     All three kinetics treatments share the implicit-diffusion systems
-    A_u = M + dt K and A_v = M + dt d K and keep the uniform steady state
-    an exact fixed point: the nodal kinetics vanish there identically, and
-    the warm-started CG solve returns its initial guess untouched when the
-    initial residual is already zero.
+    A_u = M + dt K and A_v = M + dt d K, which "split" and "explicit"
+    LU-factor once, here.  The uniform steady state stays a fixed point:
+    the nodal kinetics vanish there and A 1 = M 1 (K 1 = 0), so the LU
+    solve returns it up to round-off (criterion 8 bounds the drift).
 
     "split" integrates the nodal ODE w' = gamma F(w) over each half
     interval with classical RK4, subdividing so that the local rate bound
@@ -223,6 +220,8 @@ class _Stepper:
         self.M = M
         self.A_u = (M + dt * ops.stiffness).tocsr()
         self.A_v = (M + dt * d * ops.stiffness).tocsr()
+        if config.kinetics != "implicit":
+            self._lu_u, self._lu_v = splu(self.A_u.tocsc()), splu(self.A_v.tocsc())
         self._lu = None
         self._lu_age = 0
 
@@ -234,16 +233,20 @@ class _Stepper:
             return self._step_split(state)
         return self._step_implicit(state)
 
+    def _diffuse(self, u, v, step):
+        """Solve A_u u+ = M u and A_v v+ = M v with the cached factors."""
+        bu, bv = self.M @ u, self.M @ v
+        if not (np.all(np.isfinite(bu)) and np.all(np.isfinite(bv))):
+            raise FemError(f"non-finite right-hand side at step {step}")
+        return self._lu_u.solve(bu), self._lu_v.solve(bv)
+
     # -- explicit reaction, implicit diffusion ------------------------------
 
     def _step_explicit(self, state: FemState) -> FemState:
         cfg = self.config
         dt, gamma = cfg.dt, cfg.params.gamma
         f, g = reaction_terms(cfg.params, state.u, state.v)
-        u = _solve(self.A_u, self.M @ (state.u + dt * gamma * f), state.u,
-                   cfg.solver_maxiter, f"u at step {state.step}", rtol=cfg.solver_rtol)
-        v = _solve(self.A_v, self.M @ (state.v + dt * gamma * g), state.v,
-                   cfg.solver_maxiter, f"v at step {state.step}", rtol=cfg.solver_rtol)
+        u, v = self._diffuse(state.u + dt * gamma * f, state.v + dt * gamma * g, state.step)
         return FemState(u, v, state.t + dt, state.step + 1)
 
     # -- Strang splitting ----------------------------------------------------
@@ -275,13 +278,9 @@ class _Stepper:
         return u, v
 
     def _step_split(self, state: FemState) -> FemState:
-        cfg = self.config
-        dt = cfg.dt
+        dt = self.config.dt
         u, v = self._kinetics_interval(state.u, state.v, 0.5 * dt, state.step)
-        u = _solve(self.A_u, self.M @ u, u, cfg.solver_maxiter,
-                   f"u at step {state.step}", rtol=cfg.solver_rtol)
-        v = _solve(self.A_v, self.M @ v, v, cfg.solver_maxiter,
-                   f"v at step {state.step}", rtol=cfg.solver_rtol)
+        u, v = self._diffuse(u, v, state.step)
         u, v = self._kinetics_interval(u, v, 0.5 * dt, state.step)
         return FemState(u, v, state.t + dt, state.step + 1)
 
@@ -351,7 +350,8 @@ class _Stepper:
 def step_imex(state: FemState, ops: FemOperators, config: RunConfig) -> FemState:
     """Advance one IMEX step (implicit diffusion, nodal kinetics).
 
-    config.kinetics picks the reaction treatment; see _Stepper.
+    config.kinetics picks the reaction treatment; see _Stepper. Each call
+    factors afresh; simulate factors once per run.
     """
     return _Stepper(ops, config).step(state)
 

@@ -54,6 +54,9 @@ class ModeIndex:
     l: float
 
     def __post_init__(self):
+        for name, value in (("k", self.k), ("l", self.l)):
+            if not np.isfinite(value):
+                raise SpectrumError(f"mode index {name}={value} is not finite")
         if int(self.k) != self.k or self.k < 0:
             raise SpectrumError(f"k must be a non-negative integer, got {self.k}")
         nearest = round(2.0 * self.l) / 2.0
@@ -109,8 +112,9 @@ def _eigenvalues(k, l, a, b) -> np.ndarray:
     k, l, a, b = np.broadcast_arrays(k, l, a, b)
     weight, order, _, _ = _closed_form(k, l, a, b)
     eta_sq = weight * order
-    # negated comparisons also flag NaN, which ModeIndex refuses as well
-    bad = (~(k >= 0) | (k != np.trunc(k))
+    # negated comparisons also flag NaN (and the order test flags +-inf),
+    # which ModeIndex refuses as well
+    bad = (~(np.isfinite(k) & (k >= 0)) | (k != np.trunc(k))
            | ~(np.abs(l - np.round(2.0 * l) / 2.0) > HALF_INTEGER_TOL) | (eta_sq < 0.0))
     if bad.any():
         i = np.unravel_index(np.argmax(bad), bad.shape)
@@ -471,10 +475,11 @@ class SpectrumTable:
 
 def spectrum_table(k_range, l_list, geom: AnnulusGeometry) -> SpectrumTable:
     """Tabulate eta_{k,l} = sqrt(eta^2) over a rectangle of modes."""
-    ks = np.array(sorted(int(k) for k in k_range), dtype=np.int64)
+    ks = np.array(sorted(k_range))
     ls = np.array([float(l) for l in l_list])
+    # checked before the integer cast, so k = 1.5 is refused, not truncated
     table = np.sqrt(_eigenvalues(ks[:, None], ls[None, :], geom.a, geom.b))
-    return SpectrumTable(ks, ls, table)
+    return SpectrumTable(ks.astype(np.int64), ls, table)
 
 
 def export_spectrum_csv(table: SpectrumTable, path) -> None:

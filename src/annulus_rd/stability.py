@@ -223,7 +223,7 @@ def _bound(factor: float, d: float, gamma: float, mode: ModeIndex, a: float) -> 
 class HopfAdmissibility:
     """Two predicates for temporal (Hopf/transcritical) bifurcation.
 
-    paper_threshold is the quoted thickness threshold
+    paper_threshold is the quoted thickness threshold, negative_l_bound's
     [8(d+1)(2k+1)(l+2k+1)(l+4k) - gamma a^2 (l+4k+2)] / (gamma a (l+4k+2)),
     and paper_admissible tests rho >= threshold. exact_admissible evaluates
     the operative inequality gamma > (d+1) eta^2(a, a+rho) with the true
@@ -240,7 +240,7 @@ class HopfAdmissibility:
 def hopf_admissibility(d: float, gamma: float, mode: ModeIndex, a: float,
                        rho: float) -> HopfAdmissibility:
     """Check thickness admissibility for temporal bifurcation, both ways."""
-    threshold = _bound(8.0, d, gamma, mode, a)
+    threshold = negative_l_bound(d, gamma, mode, a).bound
     exact = gamma > (d + 1.0) * eigenvalue(mode, make_annulus(a, a + rho))
     return HopfAdmissibility(threshold, rho >= threshold, exact)
 

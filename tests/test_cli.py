@@ -91,6 +91,17 @@ def test_domain_errors(tmp_path):
     assert_exit(proc, 4)
     assert "E_DOMAIN:" in proc.stderr
 
+    for order in ("inf", "nan"):
+        proc = run_cli("spectrum", "--l-start", order, cwd=tmp_path)
+        assert_exit(proc, 4)
+        assert "E_DOMAIN:" in proc.stderr and "is not finite" in proc.stderr
+
+    # t_end under half a step: the run would take no steps
+    proc = run_cli("simulate", "--h", "0.2", "--dt", "1e-3", "--t-end", "0.0001",
+                   cwd=tmp_path)
+    assert_exit(proc, 4)
+    assert "E_DOMAIN:" in proc.stderr
+
 
 def test_runtime_error_on_explicit_blowup(tmp_path):
     proc = run_cli("simulate", "--kinetics", "explicit", "--h", "0.15",

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import diags
 from scipy.sparse.linalg import spsolve
 
+from annulus_rd import fem
 from annulus_rd.fem import (
     FemError,
     FemState,
@@ -103,6 +105,13 @@ def test_runconfig_validation(coarse):
         RunConfig(TURING, mesh, dt=1e-3, t_end=1.0, threshold=-1e-3)
     with pytest.raises(FemError):
         RunConfig(TURING, mesh, dt=1e-3, t_end=1.0, kinetics="semi")
+    # t_end under half a step rounds to zero steps; a step count that
+    # overflows is no better
+    with pytest.raises(FemError, match="step count"):
+        RunConfig(TURING, mesh, dt=1e-3, t_end=1e-4)
+    with pytest.raises(FemError, match="step count"):
+        RunConfig(TURING, mesh, dt=1e-3, t_end=float("inf"))
+    assert RunConfig(TURING, mesh, dt=1e-3, t_end=6e-4).t_end == 6e-4  # one step
 
 
 @pytest.mark.parametrize("kinetics", ["split", "implicit", "explicit"])
@@ -131,7 +140,7 @@ def test_explicit_step_matches_semidiscrete_rhs(coarse):
     v0 = ss.v_s + prof
     dt = 1e-6
     cfg = RunConfig(TURING, mesh, dt=dt, t_end=1.0, threshold=0.0,
-                    kinetics="explicit", solver_rtol=1e-13)
+                    kinetics="explicit")
     state = step_imex(FemState(u0.copy(), v0.copy(), 0.0, 0), ops, cfg)
 
     f0, g0 = reaction_terms(TURING, u0, v0)
@@ -144,6 +153,41 @@ def test_explicit_step_matches_semidiscrete_rhs(coarse):
     # the faster-diffusing species amplifies the P1 interpolation wiggle
     # through its d-scaled stiffness term; its band is wider
     assert err_v < 1e-3
+
+
+@pytest.mark.parametrize("kinetics, factorizations", [
+    ("split", 2),      # A_u and A_v, once per run, not per step
+    ("explicit", 2),
+    ("implicit", 4),   # only its block Jacobian: 4 refreshes in these 10 steps
+])
+def test_diffusion_factored_once_per_run(coarse, monkeypatch, kinetics, factorizations):
+    mesh, ops = coarse
+    calls = []
+    original = fem.splu
+    monkeypatch.setattr(fem, "splu", lambda A, **kw: calls.append(A.shape) or original(A, **kw))
+    cfg = RunConfig(DAMPED, mesh, dt=1e-3, t_end=0.01, threshold=0.0, kinetics=kinetics)
+    rec = simulate(cfg, ops)
+    assert rec.final.step == 10
+    assert len(calls) == factorizations
+    n = len(mesh.vertices)
+    block = (2 * n, 2 * n) if kinetics == "implicit" else (n, n)
+    assert all(shape == block for shape in calls)
+
+
+@pytest.mark.parametrize("lumped", [False, True])
+def test_split_diffusion_solve_matches_spsolve(coarse, lumped):
+    # the diffusion half of a split step, through the cached LU factors,
+    # against a fresh direct solve of the same system
+    mesh, ops = coarse
+    rng = np.random.default_rng(5)
+    u0, v0 = rng.uniform(-1.0, 1.0, (2, len(mesh.vertices)))
+    dt = 1e-3
+    cfg = RunConfig(TURING, mesh, dt=dt, t_end=1.0, lumped=lumped)
+    u, v = fem._Stepper(ops, cfg)._diffuse(u0, v0, 0)
+    M = diags(ops.lumped) if lumped else ops.mass
+    for got, c, old in ((u, 1.0, u0), (v, TURING.d, v0)):
+        ref = spsolve((M + dt * c * ops.stiffness).tocsc(), M @ old)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("kinetics", ["implicit", "split"])

@@ -50,6 +50,11 @@ def test_mode_index_validation():
         ModeIndex(0, 2.0)
     with pytest.raises(SpectrumError):
         ModeIndex(1, 1.5 + 1e-10)
+    # non-finite indices are refused by name, not by a failing round()/int()
+    for k, l, name in ((0, float("inf"), "l"), (0, float("nan"), "l"),
+                       (float("inf"), 0.3, "k"), (float("nan"), 0.3, "k")):
+        with pytest.raises(SpectrumError, match=f"mode index {name}=.* is not finite"):
+            ModeIndex(k, l)
 
 
 def test_eigenvalue_known_values():
@@ -222,6 +227,8 @@ def test_spectrum_csv_export(tmp_path):
     (range(0, 3), [0.3, -0.3], 0, -0.3),          # negative eta^2
     (range(-1, 2), [0.3], -1, 0.3),               # negative k
     (range(1, 3), [0.3, float("nan")], 1, float("nan")),
+    ([1.5, 2.7], [0.3], 1.5, 0.3),               # non-integer k, not truncated
+    ([1, float("inf")], [0.3], float("inf"), 0.3),
 ])
 def test_spectrum_table_rejects_like_eigenvalue(k_range, l_list, k, l):
     with pytest.raises(ValueError) as scalar:
