@@ -47,7 +47,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import bmat, coo_matrix, csr_matrix, diags
-from scipy.sparse.linalg import cg, splu
+# cg is not called here; bench/tracing.py still wraps fem.cg
+from scipy.sparse.linalg import cg, splu  # noqa: F401
 
 from .geometry import TriMesh, triangle_areas
 from .stability import KineticParams, reaction_terms, steady_state
@@ -155,31 +156,31 @@ class RunConfig:
                 f"kinetics must be 'split', 'implicit' or 'explicit', got {self.kinetics!r}")
 
 
+def _mass(ops: FemOperators, lumped: bool):
+    """The consistent mass matrix, or its row-sum diagonal with lumped=True."""
+    return diags(ops.lumped).tocsr() if lumped else ops.mass
+
+
+def _backward_euler(lu, M, values: np.ndarray, where: str) -> np.ndarray:
+    """Solve (M + dt c K) w = M values, given lu, the LU factors of M + dt c K."""
+    b = M @ values
+    if not np.all(np.isfinite(b)):
+        raise FemError(f"non-finite right-hand side {where}")
+    return lu.solve(b)
+
+
 def diffusion_step(ops: FemOperators, values: np.ndarray, dt: float,
-                   coefficient: float = 1.0, lumped: bool = False,
-                   maxiter: int = 5000, rtol: float = 1e-10) -> np.ndarray:
+                   coefficient: float = 1.0, lumped: bool = False) -> np.ndarray:
     """One implicit diffusion step (M + dt c K) w = M values, no kinetics.
 
     With lumped=True the diagonal row-sum mass replaces M on both sides;
     on a Delaunay mesh that system is an M-matrix and the discrete maximum
-    principle holds (new extremes never exceed old ones). Solved by
-    conjugate gradients warm-started at values.
+    principle holds (new extremes never exceed old ones). Solved directly,
+    by the same LU solve as the split and explicit time steps.
     """
-    if lumped:
-        A = diags(ops.lumped) + dt * coefficient * ops.stiffness
-        b = ops.lumped * values
-    else:
-        A = ops.mass + dt * coefficient * ops.stiffness
-        b = ops.mass @ values
-    if not np.all(np.isfinite(b)):
-        raise FemError("non-finite right-hand side in diffusion step")
-    # failure is reported through info; silence the NaN chatter cg emits
-    # internally when a blown-up state makes the iteration break down
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x, info = cg(A, b, x0=values, rtol=rtol, atol=0.0, maxiter=maxiter)
-    if info != 0:
-        raise FemError(f"conjugate gradients failed on diffusion step (info={info}, maxiter={maxiter})")
-    return x
+    M = _mass(ops, lumped)
+    A = M + dt * coefficient * ops.stiffness
+    return _backward_euler(splu(A.tocsc()), M, values, "in diffusion step")
 
 
 class _Stepper:
@@ -213,11 +214,7 @@ class _Stepper:
         self.ops = ops
         self.config = config
         dt, d = config.dt, config.params.d
-        if config.lumped:
-            M = diags(ops.lumped).tocsr()
-        else:
-            M = ops.mass
-        self.M = M
+        self.M = M = _mass(ops, config.lumped)
         self.A_u = (M + dt * ops.stiffness).tocsr()
         self.A_v = (M + dt * d * ops.stiffness).tocsr()
         if config.kinetics != "implicit":
@@ -235,10 +232,9 @@ class _Stepper:
 
     def _diffuse(self, u, v, step):
         """Solve A_u u+ = M u and A_v v+ = M v with the cached factors."""
-        bu, bv = self.M @ u, self.M @ v
-        if not (np.all(np.isfinite(bu)) and np.all(np.isfinite(bv))):
-            raise FemError(f"non-finite right-hand side at step {step}")
-        return self._lu_u.solve(bu), self._lu_v.solve(bv)
+        where = f"at step {step}"
+        return (_backward_euler(self._lu_u, self.M, u, where),
+                _backward_euler(self._lu_v, self.M, v, where))
 
     # -- explicit reaction, implicit diffusion ------------------------------
 
@@ -351,7 +347,9 @@ def step_imex(state: FemState, ops: FemOperators, config: RunConfig) -> FemState
     """Advance one IMEX step (implicit diffusion, nodal kinetics).
 
     config.kinetics picks the reaction treatment; see _Stepper. Each call
-    factors afresh; simulate factors once per run.
+    builds a fresh _Stepper, so split and explicit kinetics LU-factor A_u
+    and A_v on every call, which costs far more than the step itself. To
+    advance many steps, use simulate, which factors once per run.
     """
     return _Stepper(ops, config).step(state)
 
@@ -383,8 +381,8 @@ def simulate(config: RunConfig, ops: FemOperators | None = None) -> RunRecord:
     """Integrate from the perturbed steady state until t_end or convergence.
 
     Stops early once both species' time-derivative rates fall below the
-    threshold ('threshold'), otherwise runs to t_end ('t_end'). A non-finite
-    state aborts with the offending step in the error. Snapshot times are
+    threshold ('threshold'), otherwise runs to t_end ('t_end'). A blow-up
+    aborts with the offending step in the error. Snapshot times are
     honored at the first step reaching each requested time.
     """
     if ops is None:
@@ -397,18 +395,20 @@ def simulate(config: RunConfig, ops: FemOperators | None = None) -> RunRecord:
     monitor = []
     n_steps = int(round(config.t_end / config.dt))
     termination = "t_end"
-    for _ in range(n_steps):
-        new_state = stepper.step(state)
-        if not (np.all(np.isfinite(new_state.u)) and np.all(np.isfinite(new_state.v))):
-            raise FemError(f"non-finite state at step {new_state.step} (t={new_state.t:.6f})")
-        rate_u, rate_v = l2_time_derivative(state, new_state, config.dt, ops)
-        monitor.append((new_state.t, rate_u, rate_v))
-        state = new_state
-        while pending and state.t >= pending[0] - 1e-12:
-            record.snapshots.append((pending.pop(0), FemState(state.u.copy(), state.v.copy(), state.t, state.step)))
-        if rate_u < config.threshold and rate_v < config.threshold:
-            termination = "threshold"
-            break
+    # a blow-up's overflow is reported by the non-finite rate check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_steps):
+            new_state = stepper.step(state)
+            rate_u, rate_v = l2_time_derivative(state, new_state, config.dt, ops)
+            if not np.isfinite(rate_u + rate_v):
+                raise FemError(f"non-finite state or rate at step {new_state.step} (t={new_state.t:.6f})")
+            monitor.append((new_state.t, rate_u, rate_v))
+            state = new_state
+            while pending and state.t >= pending[0] - 1e-12:
+                record.snapshots.append((pending.pop(0), FemState(state.u.copy(), state.v.copy(), state.t, state.step)))
+            if rate_u < config.threshold and rate_v < config.threshold:
+                termination = "threshold"
+                break
 
     record.monitor = np.array(monitor).reshape(-1, 3)
     record.termination = termination

@@ -109,6 +109,7 @@ def test_runtime_error_on_explicit_blowup(tmp_path):
                    cwd=tmp_path)
     assert_exit(proc, 5)
     assert "E_RUNTIME:" in proc.stderr
+    assert "Warning" not in proc.stderr
 
 
 def test_io_error_when_out_is_under_a_file(tmp_path):

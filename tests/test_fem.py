@@ -177,7 +177,8 @@ def test_diffusion_factored_once_per_run(coarse, monkeypatch, kinetics, factoriz
 @pytest.mark.parametrize("lumped", [False, True])
 def test_split_diffusion_solve_matches_spsolve(coarse, lumped):
     # the diffusion half of a split step, through the cached LU factors,
-    # against a fresh direct solve of the same system
+    # against a fresh direct solve of the same system; the public one-shot
+    # diffusion_step solves it the same way
     mesh, ops = coarse
     rng = np.random.default_rng(5)
     u0, v0 = rng.uniform(-1.0, 1.0, (2, len(mesh.vertices)))
@@ -188,6 +189,7 @@ def test_split_diffusion_solve_matches_spsolve(coarse, lumped):
     for got, c, old in ((u, 1.0, u0), (v, TURING.d, v0)):
         ref = spsolve((M + dt * c * ops.stiffness).tocsc(), M @ old)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.array_equal(diffusion_step(ops, old, dt, c, lumped), got)
 
 
 @pytest.mark.parametrize("kinetics", ["implicit", "split"])
@@ -277,13 +279,15 @@ def test_simulate_stable_point_stops_on_threshold(medium):
     assert np.abs(rec.final.v - ss.v_s).max() < 1e-3
 
 
+@pytest.mark.filterwarnings("error")
 def test_explicit_kinetics_blows_up(medium):
     # the stiff activator kinetics overwhelm a plain explicit treatment
-    # at the pattern-forming parameters; the run must abort, not limp on
+    # at the pattern-forming parameters; the run must abort, not limp on,
+    # and report the blow-up by its FemError alone, without numpy warnings
     mesh, ops = medium
     cfg = RunConfig(TURING, mesh, dt=1e-3, t_end=2.0, threshold=0.0,
                     kinetics="explicit")
-    with pytest.raises(FemError):
+    with pytest.raises(FemError, match="at step"):
         simulate(cfg, ops)
 
 
