@@ -53,7 +53,6 @@ from .fem import (
     initial_conditions,
     monitor_peaks,
     simulate,
-    step_imex,
 )
 
 __all__ = [
@@ -67,5 +66,5 @@ __all__ = [
     "classify_point", "steady_state", "trace_det",
     "RegionMap", "SweepSpec", "build_curves", "sweep_classify",
     "FemError", "FemOperators", "FemState", "RunConfig", "RunRecord",
-    "assemble", "initial_conditions", "monitor_peaks", "simulate", "step_imex",
+    "assemble", "initial_conditions", "monitor_peaks", "simulate",
 ]

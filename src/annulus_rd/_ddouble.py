@@ -88,8 +88,3 @@ def dd_neg(x):
 
 def dd_from(a):
     return np.asarray(a, dtype=float), np.zeros_like(np.asarray(a, dtype=float))
-
-
-def dd_sqr(a):
-    """Exact square of a float64 array as a double-double pair."""
-    return two_prod(a, a)

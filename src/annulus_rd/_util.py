@@ -64,8 +64,7 @@ def write_text(path, text: str) -> Path:
 
 
 def append_manifest(out_dir, subcommand: str, config: dict, outputs, *,
-                    inputs=None, wall_time_s: float | None = None,
-                    version: str | None = None) -> Path:
+                    inputs=None, wall_time_s: float | None = None) -> Path:
     """Append one JSON line describing a finished run to <out_dir>/manifest.jsonl."""
     from . import __version__
 
@@ -74,7 +73,7 @@ def append_manifest(out_dir, subcommand: str, config: dict, outputs, *,
     entry = {
         "subcommand": subcommand,
         "config": config,
-        "version": version or __version__,
+        "version": __version__,
         "inputs": {str(k): sha256_file(v) if Path(str(v)).is_file() else str(v)
                    for k, v in (inputs or {}).items()},
         "outputs": {str(Path(p).name): sha256_file(p) for p in outputs},

@@ -347,10 +347,6 @@ def _cmd_verify(out_dir):
 
 def run(argv) -> int:
     parser = _build_parser()
-    if not argv:
-        parser.print_usage(sys.stderr)
-        print("E_USAGE: a subcommand is required", file=sys.stderr)
-        return EXIT_USAGE
     args = parser.parse_args(argv)
     if args.subcommand is None:
         parser.print_usage(sys.stderr)

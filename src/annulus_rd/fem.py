@@ -145,8 +145,10 @@ class RunConfig:
     def __post_init__(self):
         if not (self.dt > 0.0):
             raise FemError(f"dt must be positive, got {self.dt}")
-        if self.threshold < 0.0:
+        if not (self.threshold >= 0.0):
             raise FemError(f"threshold must be non-negative, got {self.threshold}")
+        if not np.all(np.isfinite(self.snapshot_times)):
+            raise FemError(f"snapshot times must be finite, got {self.snapshot_times}")
         if not (self.t_end > 0.0):
             raise FemError(f"t_end must be positive, got {self.t_end}")
         if not (0.5 < self.t_end / self.dt < np.inf):
@@ -154,33 +156,6 @@ class RunConfig:
         if self.kinetics not in ("split", "implicit", "explicit"):
             raise FemError(
                 f"kinetics must be 'split', 'implicit' or 'explicit', got {self.kinetics!r}")
-
-
-def _mass(ops: FemOperators, lumped: bool):
-    """The consistent mass matrix, or its row-sum diagonal with lumped=True."""
-    return diags(ops.lumped).tocsr() if lumped else ops.mass
-
-
-def _backward_euler(lu, M, values: np.ndarray, where: str) -> np.ndarray:
-    """Solve (M + dt c K) w = M values, given lu, the LU factors of M + dt c K."""
-    b = M @ values
-    if not np.all(np.isfinite(b)):
-        raise FemError(f"non-finite right-hand side {where}")
-    return lu.solve(b)
-
-
-def diffusion_step(ops: FemOperators, values: np.ndarray, dt: float,
-                   coefficient: float = 1.0, lumped: bool = False) -> np.ndarray:
-    """One implicit diffusion step (M + dt c K) w = M values, no kinetics.
-
-    With lumped=True the diagonal row-sum mass replaces M on both sides;
-    on a Delaunay mesh that system is an M-matrix and the discrete maximum
-    principle holds (new extremes never exceed old ones). Solved directly,
-    by the same LU solve as the split and explicit time steps.
-    """
-    M = _mass(ops, lumped)
-    A = M + dt * coefficient * ops.stiffness
-    return _backward_euler(splu(A.tocsc()), M, values, "in diffusion step")
 
 
 class _Stepper:
@@ -211,30 +186,30 @@ class _Stepper:
     _MAX_SUBSTEPS = 100000
 
     def __init__(self, ops: FemOperators, config: RunConfig):
-        self.ops = ops
         self.config = config
         dt, d = config.dt, config.params.d
-        self.M = M = _mass(ops, config.lumped)
+        self.M = M = diags(ops.lumped).tocsr() if config.lumped else ops.mass
         self.A_u = (M + dt * ops.stiffness).tocsr()
         self.A_v = (M + dt * d * ops.stiffness).tocsr()
         if config.kinetics != "implicit":
             self._lu_u, self._lu_v = splu(self.A_u.tocsc()), splu(self.A_v.tocsc())
         self._lu = None
         self._lu_age = 0
+        # plain functions, not bound methods: a bound method stored on self
+        # would be a reference cycle, keeping the factors alive until a gc pass
+        self._step = {"explicit": _Stepper._step_explicit, "split": _Stepper._step_split,
+                      "implicit": _Stepper._step_implicit}[config.kinetics]
 
     def step(self, state: FemState) -> FemState:
-        kin = self.config.kinetics
-        if kin == "explicit":
-            return self._step_explicit(state)
-        if kin == "split":
-            return self._step_split(state)
-        return self._step_implicit(state)
+        """Advance one step with the configured kinetics treatment."""
+        return self._step(self, state)
 
     def _diffuse(self, u, v, step):
         """Solve A_u u+ = M u and A_v v+ = M v with the cached factors."""
-        where = f"at step {step}"
-        return (_backward_euler(self._lu_u, self.M, u, where),
-                _backward_euler(self._lu_v, self.M, v, where))
+        bu, bv = self.M @ u, self.M @ v
+        if not (np.all(np.isfinite(bu)) and np.all(np.isfinite(bv))):
+            raise FemError(f"non-finite right-hand side at step {step}")
+        return self._lu_u.solve(bu), self._lu_v.solve(bv)
 
     # -- explicit reaction, implicit diffusion ------------------------------
 
@@ -341,17 +316,6 @@ class _Stepper:
         raise FemError(
             f"Newton failed to reach {tol:.3e} in {self._NEWTON_MAXITER} "
             f"iterations at step {state.step}")
-
-
-def step_imex(state: FemState, ops: FemOperators, config: RunConfig) -> FemState:
-    """Advance one IMEX step (implicit diffusion, nodal kinetics).
-
-    config.kinetics picks the reaction treatment; see _Stepper. Each call
-    builds a fresh _Stepper, so split and explicit kinetics LU-factor A_u
-    and A_v on every call, which costs far more than the step itself. To
-    advance many steps, use simulate, which factors once per run.
-    """
-    return _Stepper(ops, config).step(state)
 
 
 def l2_time_derivative(prev: FemState, next_state: FemState, dt: float,

@@ -182,9 +182,24 @@ def mesh_edges(triangles: np.ndarray) -> np.ndarray:
     return np.unique(e, axis=0)
 
 
-def triangulate_annulus(geom: AnnulusGeometry, h: float, *, max_iter: int = 2000,
-                        fscale: float = 1.2, step: float = 0.2,
-                        dptol: float = 1e-3, ttol: float = 0.1) -> TriMesh:
+# Relaxation constants of distmesh (Persson and Strang, "A Simple Mesh
+# Generator in MATLAB", SIAM Review 46, 2004): bars push apart below _FSCALE
+# times the RMS bar length and points move _DELTAT times their net force;
+# _TTOL, _DPTOL and _MAX_ITER are explained in triangulate_annulus.
+_FSCALE = 1.2
+_DELTAT = 0.2
+_DPTOL = 1e-3
+_TTOL = 0.1
+_MAX_ITER = 2000
+
+
+def _interior_triangles(p: np.ndarray, a: float, b: float, geps: float) -> np.ndarray:
+    """Delaunay triangles of p whose centroid lies inside the annulus by geps."""
+    tri = Delaunay(p).simplices
+    return tri[_signed_distance(p[tri].mean(axis=1), a, b) < -geps]
+
+
+def triangulate_annulus(geom: AnnulusGeometry, h: float) -> TriMesh:
     """Force-equilibrium triangulation with target edge length h.
 
     Starting from a fixed hexagonal lattice clipped to the annulus, bars of
@@ -192,9 +207,9 @@ def triangulate_annulus(geom: AnnulusGeometry, h: float, *, max_iter: int = 2000
     the scaled target length; points leaving the annulus are projected back
     along the signed-distance gradient (radially, which is exact for two
     concentric circles). The mesh is re-triangulated whenever any point has
-    drifted more than ttol*h since the last triangulation, and the
-    iteration terminates when no interior point moves more than dptol*h in
-    one step. A cap of max_iter iterations guards against stagnation; on
+    drifted more than _TTOL*h since the last triangulation, and the
+    iteration terminates when no interior point moves more than _DPTOL*h in
+    one step. A cap of _MAX_ITER iterations guards against stagnation; on
     failure the last iterate's statistics are attached to the error.
     """
     a, b = geom.a, geom.b
@@ -207,35 +222,32 @@ def triangulate_annulus(geom: AnnulusGeometry, h: float, *, max_iter: int = 2000
     p = p[_signed_distance(p, a, b) < geps]
 
     pold = np.full_like(p, np.inf)
-    tri = bars = None
+    bars = None
     maxdp = np.inf
-    for iteration in range(max_iter):
-        if np.max(np.hypot(*(p - pold).T)) > ttol * h:
+    for iteration in range(_MAX_ITER):
+        if np.max(np.hypot(*(p - pold).T)) > _TTOL * h:
             pold = p.copy()
-            tri = Delaunay(p).simplices
-            centroids = p[tri].mean(axis=1)
-            tri = tri[_signed_distance(centroids, a, b) < -geps]
-            bars = mesh_edges(tri)
+            bars = mesh_edges(_interior_triangles(p, a, b, geps))
 
         vec = p[bars[:, 0]] - p[bars[:, 1]]
         L = np.hypot(vec[:, 0], vec[:, 1])
-        L0 = fscale * np.sqrt(np.sum(L**2) / len(L))
+        L0 = _FSCALE * np.sqrt(np.sum(L**2) / len(L))
         force = np.maximum(L0 - L, 0.0)
         fvec = vec * (force / L)[:, None]
         total = np.zeros_like(p)
         np.add.at(total, bars[:, 0], fvec)
         np.add.at(total, bars[:, 1], -fvec)
 
-        p = p + step * total
+        p = p + _DELTAT * total
         p = _project_to_annulus(p, a, b)
 
         interior = _signed_distance(p, a, b) < -geps
-        move = step * np.hypot(total[:, 0], total[:, 1])
+        move = _DELTAT * np.hypot(total[:, 0], total[:, 1])
         maxdp = move[interior].max() if interior.any() else 0.0
-        if maxdp < dptol * h:
+        if maxdp < _DPTOL * h:
             break
     else:
-        stats = {"iterations": max_iter, "max_displacement_over_h": float(maxdp / h),
+        stats = {"iterations": _MAX_ITER, "max_displacement_over_h": float(maxdp / h),
                  "vertices": int(len(p))}
         raise MeshConvergenceError("mesh relaxation did not settle", stats)
 
@@ -247,9 +259,7 @@ def triangulate_annulus(geom: AnnulusGeometry, h: float, *, max_iter: int = 2000
     p[snap_in] *= (a / r[snap_in])[:, None]
     p[snap_out] *= (b / r[snap_out])[:, None]
 
-    tri = Delaunay(p).simplices
-    centroids = p[tri].mean(axis=1)
-    tri = tri[_signed_distance(centroids, a, b) < -geps]
+    tri = _interior_triangles(p, a, b, geps)
 
     used = np.unique(tri)
     remap = -np.ones(len(p), dtype=np.int64)

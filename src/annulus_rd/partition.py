@@ -11,10 +11,11 @@ Both curves are extracted per alpha sample by two genuinely different
 methods and cross-checked: clearing the (beta+alpha) denominators turns
 T^2 - 4D into a degree-6 polynomial in beta (and T into a cubic), whose
 roots come from the companion matrix; independently, sign changes of the
-defining function along a fine beta grid are refined by bisection. The two
-root sets must agree to 1e-8; a polynomial root with no sign-change partner
-is accepted only if the defining equation is satisfied there (a tangency,
-where bisection is blind), and any other disagreement aborts the run.
+defining function along a fine beta grid are refined by bisection. Each
+bisection root must lie within 1e-6 of a polynomial root; a polynomial
+root with no sign-change partner is accepted only if the defining equation
+is satisfied there (a tangency, where bisection is blind), and any other
+disagreement aborts the run.
 
 The sweep oracle `first_principles_labels` classifies every cell from the
 eigenvalues of the assembled 2x2 linearization matrix instead of the closed
@@ -66,6 +67,8 @@ class SweepSpec:
             raise PartitionError(f"need 0 < beta_min < beta_max, got [{self.beta_min}, {self.beta_max}]")
         if self.n_alpha < 2 or self.n_beta < 2:
             raise PartitionError(f"grid counts must be at least 2, got {self.n_alpha}x{self.n_beta}")
+        if self.n_alpha * self.n_beta > 4_000_000:
+            raise PartitionError(f"grid of {self.n_alpha}x{self.n_beta} cells exceeds the limit 4,000,000")
         if not (self.gamma > 0.0 and self.d > 0.0):
             raise PartitionError(f"gamma and d must be positive, got {self.gamma}, {self.d}")
         if self.form not in FORMS:
@@ -270,7 +273,7 @@ def discriminant_curve(spec: SweepSpec, alpha_samples) -> np.ndarray:
     """(alpha, beta) points with T^2 = 4D inside the sweep window.
 
     Dual-method per alpha: degree-6 companion roots cross-checked against
-    bisection (agreement 1e-8, tangencies admitted by residual); returns an
+    bisection (agreement 1e-6, tangencies admitted by residual); returns an
     (n, 2) array sorted by (alpha, beta).
     """
     return _curve(spec, alpha_samples, "discriminant curve", 1,

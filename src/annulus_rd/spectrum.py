@@ -122,20 +122,17 @@ def _eigenvalues(k, l, a, b) -> np.ndarray:
     return eta_sq
 
 
-def eigenvalue(mode: ModeIndex, geom: AnnulusGeometry, *,
-               allow_negative: bool = False) -> float:
+def eigenvalue(mode: ModeIndex, geom: AnnulusGeometry) -> float:
     """Closed-form eigenvalue eta^2 for the given mode and annulus.
 
     For l < -4k the order factor turns negative and so does eta^2; that
-    regime is rejected unless allow_negative is set, since a negative
-    eta^2 has no oscillatory eigenmode attached to it.
+    regime is rejected, since a negative eta^2 has no oscillatory
+    eigenmode attached to it.
     """
     weight, order, _, _ = _closed_form(mode.k, mode.l, geom.a, geom.b)
     value = float(weight * order)
-    if value < 0.0 and not allow_negative:
-        raise SpectrumError(
-            f"eta^2 = {value} is negative for mode (k={mode.k}, l={mode.l}); "
-            f"pass allow_negative=True to accept it")
+    if value < 0.0:
+        raise SpectrumError(f"eta^2 = {value} is negative for mode (k={mode.k}, l={mode.l})")
     return value
 
 
@@ -230,36 +227,27 @@ class EigenfunctionSeries:
         R1(x) = x^l    * sum_j u_j (x^2)^j,
         R2(x) = x^(-l) * sum_j v_j (x^2)^j,
 
-    where u_0 = v_0 = c0 and the coefficients obey
+    where u_0 = v_0 = 1 and the coefficients obey
 
         u_{j+1}/u_j = -1 / (4 (j+1) (l+j+1)),
         v_{j+1}/v_j = -1 / (4 (j+1) (-l+j+1)).
 
     Coefficients are generated once, in double-double precision, and cached
-    as (hi, lo) pairs; the hi parts are exposed as u and v for inspection.
+    as (hi, lo) pairs.
     """
 
     mode: ModeIndex
-    c0: float
     truncation: int
     u_hi: np.ndarray
     u_lo: np.ndarray
     v_hi: np.ndarray
     v_lo: np.ndarray
 
-    @property
-    def u(self) -> np.ndarray:
-        return self.u_hi
 
-    @property
-    def v(self) -> np.ndarray:
-        return self.v_hi
-
-
-def _coefficients(l: float, c0: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+def _coefficients(l: float, count: int) -> tuple[np.ndarray, np.ndarray]:
     hi = np.empty(count)
     lo = np.empty(count)
-    c = dd_from(np.float64(c0))
+    c = dd_from(np.float64(1.0))
     hi[0], lo[0] = c
     for j in range(count - 1):
         den = dd_mul(dd_from(np.float64(4.0 * (j + 1))), two_sum(np.float64(l), np.float64(j + 1)))
@@ -268,15 +256,15 @@ def _coefficients(l: float, c0: float, count: int) -> tuple[np.ndarray, np.ndarr
     return hi, lo
 
 
-def build_series(mode: ModeIndex, c0: float = 1.0, truncation: int = 80) -> EigenfunctionSeries:
+def build_series(mode: ModeIndex, truncation: int = 80) -> EigenfunctionSeries:
     """Generate and cache the series coefficients for one mode."""
     if truncation < 1:
         raise SpectrumError(f"truncation must be at least 1, got {truncation}")
-    uh, ul = _coefficients(mode.l, c0, truncation)
-    vh, vl = _coefficients(-mode.l, c0, truncation)
+    uh, ul = _coefficients(mode.l, truncation)
+    vh, vl = _coefficients(-mode.l, truncation)
     for arr in (uh, ul, vh, vl):
         arr.setflags(write=False)
-    return EigenfunctionSeries(mode, float(c0), int(truncation), uh, ul, vh, vl)
+    return EigenfunctionSeries(mode, int(truncation), uh, ul, vh, vl)
 
 
 def radial_part(series: EigenfunctionSeries, eta: float, r) -> tuple[np.ndarray, float]:
@@ -428,8 +416,8 @@ def render_phase_plot(series: EigenfunctionSeries, eta: float,
     byte-identical files. Returns the (resolution, resolution, 3) uint8
     image array.
     """
-    if resolution < 8:
-        raise SpectrumError(f"resolution too small: {resolution}")
+    if not (8 <= resolution <= 2048):
+        raise SpectrumError(f"resolution must lie in [8, 2048], got {resolution}")
     a, b = grid.a, grid.b
     n = int(resolution)
     coords = -b + 2.0 * b * (np.arange(n) + 0.5) / n

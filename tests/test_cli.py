@@ -102,6 +102,19 @@ def test_domain_errors(tmp_path):
     assert_exit(proc, 4)
     assert "E_DOMAIN:" in proc.stderr
 
+    # a NaN threshold would never stop a run, a NaN snapshot never be taken
+    for flag in ("--threshold", "--snapshots"):
+        proc = run_cli("simulate", "--h", "0.2", flag, "nan", cwd=tmp_path)
+        assert_exit(proc, 4)
+        assert "E_DOMAIN:" in proc.stderr
+
+    # runaway sizes are refused before anything is allocated
+    for args, limit in ((("classify", "--n-alpha", "100000", "--n-beta", "100000"), "4,000,000"),
+                        (("eigenmode", "--resolution", "100000"), "2048")):
+        proc = run_cli(*args, cwd=tmp_path)
+        assert_exit(proc, 4)
+        assert "E_DOMAIN:" in proc.stderr and limit in proc.stderr
+
 
 def test_runtime_error_on_explicit_blowup(tmp_path):
     proc = run_cli("simulate", "--kinetics", "explicit", "--h", "0.15",

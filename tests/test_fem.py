@@ -12,14 +12,12 @@ from annulus_rd.fem import (
     RunConfig,
     RunRecord,
     assemble,
-    diffusion_step,
     export_monitor,
     export_snapshot,
     initial_conditions,
     l2_time_derivative,
     monitor_peaks,
     simulate,
-    step_imex,
 )
 from annulus_rd.geometry import TriMesh, make_annulus, triangulate_annulus
 from annulus_rd.stability import KineticParams, reaction_terms, steady_state
@@ -101,8 +99,13 @@ def test_runconfig_validation(coarse):
         RunConfig(TURING, mesh, dt=0.0, t_end=1.0)
     with pytest.raises(FemError):
         RunConfig(TURING, mesh, dt=1e-3, t_end=0.0)
-    with pytest.raises(FemError):
-        RunConfig(TURING, mesh, dt=1e-3, t_end=1.0, threshold=-1e-3)
+    for threshold in (-1e-3, float("nan")):
+        with pytest.raises(FemError, match="threshold"):
+            RunConfig(TURING, mesh, dt=1e-3, t_end=1.0, threshold=threshold)
+    # a non-finite snapshot time is never reached
+    for t_snap in (float("nan"), float("inf")):
+        with pytest.raises(FemError, match="snapshot"):
+            RunConfig(TURING, mesh, dt=1e-3, t_end=1.0, snapshot_times=(0.5, t_snap))
     with pytest.raises(FemError):
         RunConfig(TURING, mesh, dt=1e-3, t_end=1.0, kinetics="semi")
     # t_end under half a step rounds to zero steps; a step count that
@@ -120,9 +123,9 @@ def test_steady_state_is_fixed_point(coarse, kinetics):
     ss = steady_state(TURING)
     n = len(mesh.vertices)
     state = FemState(np.full(n, ss.u_s), np.full(n, ss.v_s), 0.0, 0)
-    cfg = RunConfig(TURING, mesh, dt=1e-3, t_end=1.0, kinetics=kinetics)
+    stepper = fem._Stepper(ops, RunConfig(TURING, mesh, dt=1e-3, t_end=1.0, kinetics=kinetics))
     for _ in range(3):
-        state = step_imex(state, ops, cfg)
+        state = stepper.step(state)
     assert np.abs(state.u - ss.u_s).max() < 1e-12
     assert np.abs(state.v - ss.v_s).max() < 1e-12
     assert state.step == 3
@@ -141,7 +144,7 @@ def test_explicit_step_matches_semidiscrete_rhs(coarse):
     dt = 1e-6
     cfg = RunConfig(TURING, mesh, dt=dt, t_end=1.0, threshold=0.0,
                     kinetics="explicit")
-    state = step_imex(FemState(u0.copy(), v0.copy(), 0.0, 0), ops, cfg)
+    state = fem._Stepper(ops, cfg).step(FemState(u0.copy(), v0.copy(), 0.0, 0))
 
     f0, g0 = reaction_terms(TURING, u0, v0)
     M = ops.mass.tocsc()
@@ -177,8 +180,7 @@ def test_diffusion_factored_once_per_run(coarse, monkeypatch, kinetics, factoriz
 @pytest.mark.parametrize("lumped", [False, True])
 def test_split_diffusion_solve_matches_spsolve(coarse, lumped):
     # the diffusion half of a split step, through the cached LU factors,
-    # against a fresh direct solve of the same system; the public one-shot
-    # diffusion_step solves it the same way
+    # against a fresh direct solve of the same system
     mesh, ops = coarse
     rng = np.random.default_rng(5)
     u0, v0 = rng.uniform(-1.0, 1.0, (2, len(mesh.vertices)))
@@ -189,7 +191,6 @@ def test_split_diffusion_solve_matches_spsolve(coarse, lumped):
     for got, c, old in ((u, 1.0, u0), (v, TURING.d, v0)):
         ref = spsolve((M + dt * c * ops.stiffness).tocsc(), M @ old)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-        assert np.array_equal(diffusion_step(ops, old, dt, c, lumped), got)
 
 
 @pytest.mark.parametrize("kinetics", ["implicit", "split"])
@@ -208,12 +209,12 @@ def test_error_first_order_in_dt(medium, kinetics):
     assert slope >= 0.8
 
 
-def test_step_imex_deterministic(coarse):
+def test_step_deterministic(coarse):
     mesh, ops = coarse
     state = initial_conditions(TURING, mesh)
     cfg = RunConfig(TURING, mesh, dt=1e-3, t_end=1.0)
-    s1 = step_imex(state, ops, cfg)
-    s2 = step_imex(state, ops, cfg)
+    s1 = fem._Stepper(ops, cfg).step(state)
+    s2 = fem._Stepper(ops, cfg).step(state)
     assert np.array_equal(s1.u, s2.u) and np.array_equal(s1.v, s2.v)
     assert s1.t == 1e-3 and s1.step == 1
 
@@ -243,17 +244,23 @@ def test_l2_time_derivative_permutation_invariant(coarse):
         l2_time_derivative(a, b, 0.0, ops)
 
 
-def test_lumped_diffusion_step_max_principle(coarse):
+def test_lumped_diffusion_max_principle(coarse):
+    # the diffusion solve simulate runs, for both species' coefficients; with
+    # the consistent mass matrix the nodal spike would undershoot below 0
     mesh, ops = coarse
     rng = np.random.default_rng(7)
-    w = rng.uniform(-1.0, 2.0, len(mesh.vertices))
-    out = diffusion_step(ops, w, 1e-3, lumped=True)
-    assert out.min() >= w.min() - 1e-12
-    assert out.max() <= w.max() + 1e-12
-    # both mass forms conserve the discrete integral
-    assert (ops.lumped * out).sum() == pytest.approx((ops.lumped * w).sum(), rel=1e-8)
-    out_c = diffusion_step(ops, w, 1e-3, lumped=False)
-    assert (ops.mass @ out_c).sum() == pytest.approx((ops.mass @ w).sum(), rel=1e-8)
+    spike = np.zeros(len(mesh.vertices))
+    spike[len(spike) // 2] = 1.0
+    lumped, consistent = (fem._Stepper(ops, RunConfig(TURING, mesh, dt=1e-3, t_end=1.0,
+                                                      lumped=flag)) for flag in (True, False))
+    for w in (rng.uniform(-1.0, 2.0, len(mesh.vertices)), spike):
+        for out in lumped._diffuse(w, w, 0):
+            assert out.min() >= w.min() - 1e-12
+            assert out.max() <= w.max() + 1e-12
+            # both mass forms conserve the discrete integral
+            assert (ops.lumped * out).sum() == pytest.approx((ops.lumped * w).sum(), rel=1e-8)
+        for out_c in consistent._diffuse(w, w, 0):
+            assert (ops.mass @ out_c).sum() == pytest.approx((ops.mass @ w).sum(), rel=1e-8)
 
 
 def test_simulate_runs_to_t_end(coarse):

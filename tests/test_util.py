@@ -1,9 +1,10 @@
-"""Shared plumbing: the atomic file writer behind every exporter."""
+"""Shared plumbing: the atomic file writer behind every exporter, the public surface."""
 
 import os
 
 import pytest
 
+import annulus_rd
 from annulus_rd import _util
 from annulus_rd.geometry import make_annulus
 from annulus_rd.partition import SweepSpec, export_region_map, sweep_classify
@@ -49,3 +50,9 @@ def test_write_text_creates_parents_and_replaces(tmp_path):
     _util.write_text(path, "c\n")
     assert path.read_bytes() == b"c\n"
     assert [p.name for p in path.parent.iterdir()] == ["t.txt"]
+
+
+def test_public_names_resolve():
+    # a stale __all__ entry left behind by a deletion fails here
+    missing = [name for name in annulus_rd.__all__ if not hasattr(annulus_rd, name)]
+    assert missing == []
