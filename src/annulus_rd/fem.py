@@ -26,8 +26,11 @@ kinetics (group finite elements) take one of three RunConfig.kinetics forms:
                   stiff reaction episodes (relaxation oscillations) are
                   integrated accurately. Default.
     "implicit"  - fully implicit backward Euler solved by a chord Newton
-                  iteration (the Jacobian factorization is reused across
-                  steps and refreshed on slow convergence). Strong damping:
+                  iteration. Each step starts from the linear extrapolation
+                  2 u^n - u^(n-1) and applies at least one correction; the
+                  LU-factored Jacobian is reused across steps and refreshed
+                  only when three corrections in one step have not
+                  converged or the residual grows fourfold. Strong damping:
                   steady attractors are found even at coarse dt, but
                   genuine temporal oscillations are flattened; use for
                   pattern-formation runs, not for limit-cycle studies.
@@ -147,10 +150,12 @@ class RunConfig:
             raise FemError(f"dt must be positive, got {self.dt}")
         if not (self.threshold >= 0.0):
             raise FemError(f"threshold must be non-negative, got {self.threshold}")
-        if not np.all(np.isfinite(self.snapshot_times)):
-            raise FemError(f"snapshot times must be finite, got {self.snapshot_times}")
         if not (self.t_end > 0.0):
             raise FemError(f"t_end must be positive, got {self.t_end}")
+        # a later time is never reached, an earlier one would be taken at step 1
+        if not all(0.0 < t <= self.t_end for t in self.snapshot_times):
+            raise FemError(f"snapshot times must lie in (0, t_end = {self.t_end:g}], "
+                           f"got {self.snapshot_times}")
         if not (0.5 < self.t_end / self.dt < np.inf):
             raise FemError(f"t_end/dt = {self.t_end / self.dt:g} rounds to no finite step count >= 1")
         if self.kinetics not in ("split", "implicit", "explicit"):
@@ -174,11 +179,18 @@ class _Stepper:
     gamma ~ 7e2 are resolved by a few dozen substeps on the worst steps.
 
     "implicit" solves the full backward-Euler system with a chord Newton
-    iteration: the block Jacobian is LU-factorized once and reused until
-    convergence degrades (residual growing against the previous iterate,
-    or too many iterations on a stale factorization), then refreshed at
-    the current iterate.  The iteration is non-monotone by design; it is
+    iteration.  The block Jacobian is LU-factorized at the first step and
+    reused across steps for as long as it converges: it is refreshed at
+    the current iterate only when it has made three corrections in one
+    step without reaching the tolerance, or when the residual grows
+    fourfold against the previous iterate.  A step that directly follows
+    the previous one starts from the extrapolation 2 u^n - u^(n-1), any
+    other from u^n, as does a step whose extrapolated residual is not
+    finite.  Every step applies at least one correction, even when its
+    start already meets the tolerance, so the extrapolation error never
+    reaches the state.  The iteration is non-monotone by design; it is
     declared failed only after the refactorization budget is spent.
+    factorizations and lu_solves count splu calls and factor solves.
     """
 
     _NEWTON_MAXITER = 40
@@ -191,10 +203,13 @@ class _Stepper:
         self.M = M = diags(ops.lumped).tocsr() if config.lumped else ops.mass
         self.A_u = (M + dt * ops.stiffness).tocsr()
         self.A_v = (M + dt * d * ops.stiffness).tocsr()
+        self.factorizations = 0  # splu calls and factor solves over the run
+        self.lu_solves = 0
         if config.kinetics != "implicit":
             self._lu_u, self._lu_v = splu(self.A_u.tocsc()), splu(self.A_v.tocsc())
+            self.factorizations = 2
         self._lu = None
-        self._lu_age = 0
+        self._prev = None  # the state the last implicit step started from
         # plain functions, not bound methods: a bound method stored on self
         # would be a reference cycle, keeping the factors alive until a gc pass
         self._step = {"explicit": _Stepper._step_explicit, "split": _Stepper._step_split,
@@ -209,6 +224,7 @@ class _Stepper:
         bu, bv = self.M @ u, self.M @ v
         if not (np.all(np.isfinite(bu)) and np.all(np.isfinite(bv))):
             raise FemError(f"non-finite right-hand side at step {step}")
+        self.lu_solves += 2
         return self._lu_u.solve(bu), self._lu_v.solve(bv)
 
     # -- explicit reaction, implicit diffusion ------------------------------
@@ -266,7 +282,7 @@ class _Stepper:
         J = bmat([[self.A_u - a * fu, -a * fv],
                   [-a * gu, self.A_v + a * fv]], format="csc")
         self._lu = splu(J)
-        self._lu_age = 0
+        self.factorizations += 1
 
     def _step_implicit(self, state: FemState) -> FemState:
         cfg = self.config
@@ -274,10 +290,18 @@ class _Stepper:
         bu = self.M @ state.u
         bv = self.M @ state.v
         tol = 1e-11 * max(1.0, float(np.abs(bu).max()), float(np.abs(bv).max()))
-        u, v = state.u.copy(), state.v.copy()
+        prev, self._prev = self._prev, None
+        predicted = prev is not None and prev.step + 1 == state.step
+        if predicted:
+            u, v = 2.0 * state.u - prev.u, 2.0 * state.v - prev.v
+        else:
+            u, v = state.u.copy(), state.v.copy()
         if self._lu is None:
             self._factorize(u, v)
-        factorizations = 0
+        n = len(u)
+        refreshes = 0
+        uses = 0  # chord iterations on the current factor in this step
+        corrections = 0
         res_prev = np.inf
         best = None
         for _ in range(self._NEWTON_MAXITER):
@@ -286,32 +310,41 @@ class _Stepper:
             Fv = self.A_v @ v - bv - dt * gamma * (self.M @ g)
             res = max(float(np.abs(Fu).max()), float(np.abs(Fv).max()))
             if not np.isfinite(res):
+                if predicted and corrections == 0:
+                    # the extrapolation overshot; start again from the old state
+                    u, v = state.u.copy(), state.v.copy()
+                    predicted = False
+                    continue
                 if best is None:
                     raise FemError(f"Newton residual non-finite at step {state.step}")
                 u, v = best[0], best[1]
                 self._factorize(u, v)
-                factorizations += 1
-                if factorizations > self._NEWTON_MAXFACTOR:
+                refreshes += 1
+                if refreshes > self._NEWTON_MAXFACTOR:
                     raise FemError(f"Newton stalled at step {state.step}")
+                uses = 0
                 res_prev = np.inf
                 continue
-            if res < tol:
+            # a predicted start can meet tol by itself; accepting it without
+            # a correction would leave the extrapolation error in the state
+            if res < tol and corrections > 0:
+                self._prev = state
                 return FemState(u, v, state.t + dt, state.step + 1)
             if best is None or res < best[2]:
                 best = (u.copy(), v.copy(), res)
-            stale = self._lu_age > 6
-            diverging = res > 4.0 * res_prev
-            if stale or diverging:
+            if uses >= 3 or res > 4.0 * res_prev:
                 self._factorize(u, v)
-                factorizations += 1
-                if factorizations > self._NEWTON_MAXFACTOR:
+                refreshes += 1
+                if refreshes > self._NEWTON_MAXFACTOR:
                     raise FemError(
                         f"Newton not converging at step {state.step} (residual {res:.3e})")
+                uses = 0
             delta = self._lu.solve(np.concatenate([Fu, Fv]))
-            n = len(u)
+            self.lu_solves += 1
             u = u - delta[:n]
             v = v - delta[n:]
-            self._lu_age += 1
+            uses += 1
+            corrections += 1
             res_prev = res
         raise FemError(
             f"Newton failed to reach {tol:.3e} in {self._NEWTON_MAXITER} "
@@ -339,6 +372,8 @@ class RunRecord:
     monitor: np.ndarray = None  # columns t, rate_u, rate_v
     termination: str = ""
     final: FemState = None
+    factorizations: int = 0  # sparse LU factorizations
+    lu_solves: int = 0  # solves with those factors
 
 
 def simulate(config: RunConfig, ops: FemOperators | None = None) -> RunRecord:
@@ -377,6 +412,8 @@ def simulate(config: RunConfig, ops: FemOperators | None = None) -> RunRecord:
     record.monitor = np.array(monitor).reshape(-1, 3)
     record.termination = termination
     record.final = state
+    record.factorizations = stepper.factorizations
+    record.lu_solves = stepper.lu_solves
     return record
 
 

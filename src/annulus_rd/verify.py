@@ -341,7 +341,8 @@ def criterion_9() -> CriterionResult:
     passed = (record.termination == "threshold" and contrast > 0.1 and wall < 600.0)
     return _result(9, "stationary pattern run", passed, t0,
                    f"terminated by {record.termination} at t={record.final.t:.3f}, "
-                   f"u contrast {contrast:.4f} (needs > 0.1), run wall {wall:.0f} s")
+                   f"u contrast {contrast:.4f} (needs > 0.1), run wall {wall:.0f} s, "
+                   f"{record.factorizations} factorizations, {record.lu_solves} LU solves")
 
 
 def criterion_10() -> CriterionResult:

@@ -108,6 +108,15 @@ def test_domain_errors(tmp_path):
         assert_exit(proc, 4)
         assert "E_DOMAIN:" in proc.stderr
 
+    # a snapshot past t_end is never taken, one before t = 0 was written as
+    # snapshot_t-1.txt holding the state of step 1
+    for when in ("-1", "5"):
+        proc = run_cli("simulate", "--h", "0.2", "--t-end", "0.01", "--snapshots", when,
+                       cwd=tmp_path)
+        assert_exit(proc, 4)
+        assert "E_DOMAIN:" in proc.stderr and "snapshot" in proc.stderr
+    assert not list(tmp_path.rglob("snapshot_t*"))
+
     # runaway sizes are refused before anything is allocated
     for args, limit in ((("classify", "--n-alpha", "100000", "--n-beta", "100000"), "4,000,000"),
                         (("eigenmode", "--resolution", "100000"), "2048")):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.sparse import diags
+from scipy.sparse import bmat, diags
 from scipy.sparse.linalg import spsolve
 
 from annulus_rd import fem
@@ -26,7 +26,8 @@ GEOM = make_annulus(0.5, 1.0)
 TURING = KineticParams(0.09, 0.45, 250.0, 10.0)
 # kinetics stable at eta^2 = 0 and no Turing band anywhere: runs decay
 STABLE = KineticParams(0.3, 0.2, 250.0, 10.0)
-# mild decay for convergence studies: trajectories stay smooth and finite
+# mild kinetics for convergence studies: trajectories stay smooth and finite
+# up to t = 1 (they oscillate later, so the monitor does not decay monotonically)
 DAMPED = KineticParams(0.15, 0.25, 25.0, 10.0)
 
 
@@ -102,10 +103,13 @@ def test_runconfig_validation(coarse):
     for threshold in (-1e-3, float("nan")):
         with pytest.raises(FemError, match="threshold"):
             RunConfig(TURING, mesh, dt=1e-3, t_end=1.0, threshold=threshold)
-    # a non-finite snapshot time is never reached
-    for t_snap in (float("nan"), float("inf")):
+    # a time past t_end is never reached, one at or before t = 0 would be
+    # taken at step 1 under the wrong name
+    for t_snap in (float("nan"), float("inf"), 1.5, 0.0, -1.0):
         with pytest.raises(FemError, match="snapshot"):
             RunConfig(TURING, mesh, dt=1e-3, t_end=1.0, snapshot_times=(0.5, t_snap))
+    at_end = RunConfig(TURING, mesh, dt=1e-3, t_end=1.0, snapshot_times=(1.0,))
+    assert at_end.snapshot_times == (1.0,)
     with pytest.raises(FemError):
         RunConfig(TURING, mesh, dt=1e-3, t_end=1.0, kinetics="semi")
     # t_end under half a step rounds to zero steps; a step count that
@@ -161,7 +165,7 @@ def test_explicit_step_matches_semidiscrete_rhs(coarse):
 @pytest.mark.parametrize("kinetics, factorizations", [
     ("split", 2),      # A_u and A_v, once per run, not per step
     ("explicit", 2),
-    ("implicit", 4),   # only its block Jacobian: 4 refreshes in these 10 steps
+    ("implicit", 1),   # only its block Jacobian, never refreshed in these 10 steps
 ])
 def test_diffusion_factored_once_per_run(coarse, monkeypatch, kinetics, factorizations):
     mesh, ops = coarse
@@ -172,9 +176,84 @@ def test_diffusion_factored_once_per_run(coarse, monkeypatch, kinetics, factoriz
     rec = simulate(cfg, ops)
     assert rec.final.step == 10
     assert len(calls) == factorizations
+    assert rec.factorizations == factorizations
+    # two diffusion solves a step; three chord corrections a step
+    assert rec.lu_solves == {"split": 20, "explicit": 20, "implicit": 30}[kinetics]
     n = len(mesh.vertices)
     block = (2 * n, 2 * n) if kinetics == "implicit" else (n, n)
     assert all(shape == block for shape in calls)
+
+
+def _newton_step(ops, params, dt, state):
+    """One backward-Euler step by full Newton, a fresh Jacobian per iteration."""
+    M, K = ops.mass, ops.stiffness
+    a = dt * params.gamma
+    A_u, A_v = M + dt * K, M + dt * params.d * K
+    n = len(state.u)
+    u, v = state.u.copy(), state.v.copy()
+    for _ in range(30):
+        f, g = reaction_terms(params, u, v)
+        F = np.concatenate([A_u @ u - M @ state.u - a * (M @ f),
+                            A_v @ v - M @ state.v - a * (M @ g)])
+        J = bmat([[A_u - a * (M @ diags(2.0 * u * v - 1.0)), -a * (M @ diags(u * u))],
+                  [a * (M @ diags(2.0 * u * v)), A_v + a * (M @ diags(u * u))]], format="csc")
+        delta = spsolve(J, F)
+        u, v = u - delta[:n], v - delta[n:]
+        if np.abs(delta).max() <= 1e-14 * max(np.abs(u).max(), np.abs(v).max()):
+            return u, v
+    raise AssertionError("reference Newton did not converge")
+
+
+@pytest.mark.parametrize("params", [TURING, DAMPED], ids=["turing", "damped"])
+def test_implicit_chord_matches_full_newton(coarse, params):
+    # each chord step (extrapolated start, reused factor) against full Newton
+    # from the same old state. The chord stops at a residual of 1e-11, which
+    # on this mesh leaves about 1.5e-9 relative in the state; the bound is 1e-8.
+    mesh, ops = coarse
+    dt = 1e-3
+    stepper = fem._Stepper(ops, RunConfig(params, mesh, dt=dt, t_end=1.0, kinetics="implicit"))
+    state = initial_conditions(params, mesh)
+    worst = 0.0
+    for _ in range(200):
+        new = stepper.step(state)
+        u, v = _newton_step(ops, params, dt, state)
+        worst = max(worst, np.abs(new.u - u).max() / np.abs(u).max(),
+                    np.abs(new.v - v).max() / np.abs(v).max())
+        state = new
+    assert worst < 1e-8
+
+
+def test_implicit_start_falls_back_to_old_state(coarse):
+    mesh, ops = coarse
+    dt = 1e-3
+    stepper = fem._Stepper(ops, RunConfig(DAMPED, mesh, dt=dt, t_end=1.0, kinetics="implicit"))
+    s0 = initial_conditions(DAMPED, mesh)
+    s1 = stepper.step(s0)
+    # a state that does not follow the last step starts from itself, so
+    # stepping s0 again repeats the first step exactly (DAMPED keeps the
+    # first factor through these steps)
+    again = stepper.step(s0)
+    assert np.array_equal(again.u, s1.u) and np.array_equal(again.v, s1.v)
+    # an extrapolation whose residual overflows restarts from the old state;
+    # simulate steps under the same errstate
+    stepper._prev = FemState(np.full_like(s0.u, -1e300), s0.v, s0.t, s0.step)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s2 = stepper.step(s1)
+    u, v = _newton_step(ops, DAMPED, dt, s1)
+    assert np.abs(s2.u - u).max() < 1e-8 * np.abs(u).max()
+    assert np.abs(s2.v - v).max() < 1e-8 * np.abs(v).max()
+
+
+def test_implicit_decay_has_no_jitter(coarse):
+    # once the decay to the uniform state is past t = 0.5, the monitor falls
+    # monotonically to round-off. Accepting the extrapolated start without a
+    # correction leaves its error in the state, and the monitor then rises
+    # by up to 2e-10 (u) and 1.5e-8 (v) from step to step.
+    mesh, ops = coarse
+    cfg = RunConfig(STABLE, mesh, dt=1e-3, t_end=1.0, threshold=0.0, kinetics="implicit")
+    rec = simulate(cfg, ops)
+    tail = rec.monitor[rec.monitor[:, 0] >= 0.5]
+    assert np.diff(tail[:, 1:], axis=0).max() < 1e-10
 
 
 @pytest.mark.parametrize("lumped", [False, True])
