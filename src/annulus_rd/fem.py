@@ -132,6 +132,18 @@ def initial_conditions(params: KineticParams, mesh: TriMesh) -> FemState:
     return FemState(ss.u_s + bump, ss.v_s + bump, 0.0, 0)
 
 
+# A snapshot at time t is taken after step ceil(t/dt), the first whose time
+# n dt reaches t. The relative slack keeps a t meant as a whole number of
+# steps from moving one step later when t/dt rounds up (0.05/1e-3 is
+# 50.00000000000001); counting steps, not summing dt, keeps long runs exact.
+_SNAPSHOT_SLACK = 1e-9
+
+
+def _snapshot_step(t: float, dt: float) -> float:
+    """Index of the step a snapshot at time t is taken after (inf for t = inf)."""
+    return np.ceil(t / dt * (1.0 - _SNAPSHOT_SLACK))
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one simulation needs."""
@@ -152,12 +164,14 @@ class RunConfig:
             raise FemError(f"threshold must be non-negative, got {self.threshold}")
         if not (self.t_end > 0.0):
             raise FemError(f"t_end must be positive, got {self.t_end}")
-        # a later time is never reached, an earlier one would be taken at step 1
-        if not all(0.0 < t <= self.t_end for t in self.snapshot_times):
-            raise FemError(f"snapshot times must lie in (0, t_end = {self.t_end:g}], "
-                           f"got {self.snapshot_times}")
         if not (0.5 < self.t_end / self.dt < np.inf):
             raise FemError(f"t_end/dt = {self.t_end / self.dt:g} rounds to no finite step count >= 1")
+        # the run ends after n = round(t_end/dt) steps: a later time is never
+        # reached, an earlier one than t = 0 would be taken at step 1
+        n = round(self.t_end / self.dt)
+        if not all(0.0 < t and _snapshot_step(t, self.dt) <= n for t in self.snapshot_times):
+            raise FemError(f"snapshot times must lie in (0, n dt = {n * self.dt:g}], "
+                           f"the end of the run's n = {n} steps, got {self.snapshot_times}")
         if self.kinetics not in ("split", "implicit", "explicit"):
             raise FemError(
                 f"kinetics must be 'split', 'implicit' or 'explicit', got {self.kinetics!r}")
@@ -381,8 +395,8 @@ def simulate(config: RunConfig, ops: FemOperators | None = None) -> RunRecord:
 
     Stops early once both species' time-derivative rates fall below the
     threshold ('threshold'), otherwise runs to t_end ('t_end'). A blow-up
-    aborts with the offending step in the error. Snapshot times are
-    honored at the first step reaching each requested time.
+    aborts with the offending step in the error. Each snapshot is taken
+    after the first step n whose time n dt reaches the requested time.
     """
     if ops is None:
         ops = assemble(config.mesh)
@@ -390,7 +404,7 @@ def simulate(config: RunConfig, ops: FemOperators | None = None) -> RunRecord:
     state = initial_conditions(config.params, config.mesh)
     record = RunRecord(config)
 
-    pending = sorted(config.snapshot_times)
+    pending = sorted((_snapshot_step(t, config.dt), t) for t in config.snapshot_times)
     monitor = []
     n_steps = int(round(config.t_end / config.dt))
     termination = "t_end"
@@ -403,8 +417,8 @@ def simulate(config: RunConfig, ops: FemOperators | None = None) -> RunRecord:
                 raise FemError(f"non-finite state or rate at step {new_state.step} (t={new_state.t:.6f})")
             monitor.append((new_state.t, rate_u, rate_v))
             state = new_state
-            while pending and state.t >= pending[0] - 1e-12:
-                record.snapshots.append((pending.pop(0), FemState(state.u.copy(), state.v.copy(), state.t, state.step)))
+            while pending and state.step >= pending[0][0]:
+                record.snapshots.append((pending.pop(0)[1], FemState(state.u.copy(), state.v.copy(), state.t, state.step)))
             if rate_u < config.threshold and rate_v < config.threshold:
                 termination = "threshold"
                 break

@@ -13,7 +13,10 @@ Two discretisations live here:
 The mesher is fully deterministic: the initial point set is a fixed
 hexagonal lattice, the relaxation has no random component, and boundary
 nodes are projected exactly onto the two circles, so identical inputs give
-bitwise-identical meshes.
+bitwise-identical meshes. The bar forces are scattered onto the nodes by one
+np.bincount per coordinate, which adds them in bar order from 0.0 exactly as
+a pair of np.add.at calls would, so the meshes are bit-identical to those of
+that slower formulation too.
 """
 
 from __future__ import annotations
@@ -146,18 +149,6 @@ def _hex_lattice(b: float, h: float) -> np.ndarray:
     return np.column_stack([X.ravel(), Y.ravel()])
 
 
-def _project_to_annulus(p: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Pull outside points radially back onto the nearest circle (exact)."""
-    r = np.hypot(p[:, 0], p[:, 1])
-    out_b = r > b
-    out_a = r < a
-    scale = np.ones_like(r)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale[out_b] = b / r[out_b]
-        scale[out_a] = a / np.maximum(r[out_a], 1e-300)
-    return p * scale[:, None]
-
-
 def triangle_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     """Signed areas (positive for counter-clockwise triangles)."""
     p = vertices[triangles]
@@ -176,10 +167,18 @@ def triangle_quality(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
 
 
 def mesh_edges(triangles: np.ndarray) -> np.ndarray:
-    """Unique undirected edges of a triangle list, as sorted index pairs."""
-    e = np.vstack([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]])
-    e = np.sort(e, axis=1)
-    return np.unique(e, axis=0)
+    """Unique undirected edges of a triangle list, as sorted index pairs.
+
+    Each pair i < j is encoded as the single key i*n + j (n above every
+    index), so the unique keys come out in the lexicographic order of the
+    pairs; the result has the dtype of the triangle list.
+    """
+    n = int(triangles.max()) + 1 if triangles.size else 1
+    t = triangles.astype(np.int64)
+    e0 = np.concatenate([t[:, 0], t[:, 1], t[:, 2]])
+    e1 = np.concatenate([t[:, 1], t[:, 2], t[:, 0]])
+    keys = np.unique(np.minimum(e0, e1) * n + np.maximum(e0, e1))
+    return np.column_stack(np.divmod(keys, n)).astype(triangles.dtype)
 
 
 # Relaxation constants of distmesh (Persson and Strang, "A Simple Mesh
@@ -221,36 +220,56 @@ def triangulate_annulus(geom: AnnulusGeometry, h: float) -> TriMesh:
     p = _hex_lattice(b, h)
     p = p[_signed_distance(p, a, b) < geps]
 
-    pold = np.full_like(p, np.inf)
-    bars = None
+    # the relaxation works on x and y as contiguous columns; p is formed
+    # from them only for qhull and for the final clean-up
+    x, y = p[:, 0].copy(), p[:, 1].copy()
+    n = len(x)
+    xold = yold = np.full(n, np.inf)
     maxdp = np.inf
     for iteration in range(_MAX_ITER):
-        if np.max(np.hypot(*(p - pold).T)) > _TTOL * h:
-            pold = p.copy()
-            bars = mesh_edges(_interior_triangles(p, a, b, geps))
+        if np.max(np.hypot(x - xold, y - yold)) > _TTOL * h:
+            xold, yold = x, y
+            bars = mesh_edges(_interior_triangles(np.column_stack([x, y]), a, b, geps))
+            i, j = bars[:, 0].astype(np.intp), bars[:, 1].astype(np.intp)
+            # each bar pushes +f onto node i and -f onto node j; bincount
+            # adds in this order from 0.0, bit for bit as np.add.at at i
+            # followed by np.add.at at j
+            idx = np.concatenate([i, j])
 
-        vec = p[bars[:, 0]] - p[bars[:, 1]]
-        L = np.hypot(vec[:, 0], vec[:, 1])
+        dx = x[i] - x[j]
+        dy = y[i] - y[j]
+        L = np.hypot(dx, dy)
         L0 = _FSCALE * np.sqrt(np.sum(L**2) / len(L))
-        force = np.maximum(L0 - L, 0.0)
-        fvec = vec * (force / L)[:, None]
-        total = np.zeros_like(p)
-        np.add.at(total, bars[:, 0], fvec)
-        np.add.at(total, bars[:, 1], -fvec)
+        c = np.maximum(L0 - L, 0.0) / L
+        fx = dx * c
+        fy = dy * c
+        tx = np.bincount(idx, np.concatenate([fx, -fx]), minlength=n)
+        ty = np.bincount(idx, np.concatenate([fy, -fy]), minlength=n)
+        x = x + _DELTAT * tx
+        y = y + _DELTAT * ty
 
-        p = p + _DELTAT * total
-        p = _project_to_annulus(p, a, b)
+        # pull points that left the annulus radially back onto the nearest
+        # circle (exact for two concentric circles); the others keep their
+        # radius, and a projected point is not interior either way, so the
+        # interior test can use the radius from before the projection
+        r = np.hypot(x, y)
+        out = (r > b) | (r < a)
+        ro = r[out]
+        s = np.where(ro > b, b, a) / np.maximum(ro, 1e-300)
+        x[out] *= s
+        y[out] *= s
 
-        interior = _signed_distance(p, a, b) < -geps
-        move = _DELTAT * np.hypot(total[:, 0], total[:, 1])
+        interior = np.maximum(r - b, a - r) < -geps
+        move = _DELTAT * np.hypot(tx, ty)
         maxdp = move[interior].max() if interior.any() else 0.0
         if maxdp < _DPTOL * h:
             break
     else:
         stats = {"iterations": _MAX_ITER, "max_displacement_over_h": float(maxdp / h),
-                 "vertices": int(len(p))}
+                 "vertices": n}
         raise MeshConvergenceError("mesh relaxation did not settle", stats)
 
+    p = np.column_stack([x, y])
     # final clean-up: snap boundary nodes exactly onto the circles,
     # re-triangulate once, drop exterior triangles, orient positively
     r = np.hypot(p[:, 0], p[:, 1])

@@ -428,10 +428,14 @@ def render_phase_plot(series: EigenfunctionSeries, eta: float,
 
     w = np.zeros((n, n), dtype=np.complex128)
     if inside.any():
-        radial, _ = radial_part(series, eta, rr[inside])
+        # the pixel grid is symmetric, so pixels share radii: sum the series
+        # once per distinct radius (its early stop and overflow guard take
+        # maxima over the same set of values, so the term count is unchanged)
+        radii, which = np.unique(rr[inside], return_inverse=True)
+        radial, _ = radial_part(series, eta, radii)
         theta = np.mod(np.arctan2(np.broadcast_to(Y, (n, n))[inside],
                                   np.broadcast_to(X, (n, n))[inside]), 2.0 * np.pi)
-        w[inside] = radial * np.exp(1j * series.mode.l * theta)
+        w[inside] = radial[which] * np.exp(1j * series.mode.l * theta)
 
     mag = np.abs(w)
     peak = mag.max() if mag.max() > 0.0 else 1.0

@@ -108,10 +108,11 @@ def test_domain_errors(tmp_path):
         assert_exit(proc, 4)
         assert "E_DOMAIN:" in proc.stderr
 
-    # a snapshot past t_end is never taken, one before t = 0 was written as
-    # snapshot_t-1.txt holding the state of step 1
-    for when in ("-1", "5"):
-        proc = run_cli("simulate", "--h", "0.2", "--t-end", "0.01", "--snapshots", when,
+    # a snapshot past the last step is never taken, one before t = 0 was
+    # written as snapshot_t-1.txt holding the state of step 1; t_end = 0.0104
+    # rounds to 10 steps of 1e-3, so the run ends before t = 0.0102
+    for end, when in (("0.01", "-1"), ("0.01", "5"), ("0.0104", "0.0102")):
+        proc = run_cli("simulate", "--h", "0.2", "--t-end", end, "--snapshots", when,
                        cwd=tmp_path)
         assert_exit(proc, 4)
         assert "E_DOMAIN:" in proc.stderr and "snapshot" in proc.stderr

@@ -110,6 +110,9 @@ def test_runconfig_validation(coarse):
             RunConfig(TURING, mesh, dt=1e-3, t_end=1.0, snapshot_times=(0.5, t_snap))
     at_end = RunConfig(TURING, mesh, dt=1e-3, t_end=1.0, snapshot_times=(1.0,))
     assert at_end.snapshot_times == (1.0,)
+    # t_end = 0.0104 rounds to 10 steps, so the run ends at t = 0.010
+    with pytest.raises(FemError, match="snapshot"):
+        RunConfig(TURING, mesh, dt=1e-3, t_end=0.0104, snapshot_times=(0.0102,))
     with pytest.raises(FemError):
         RunConfig(TURING, mesh, dt=1e-3, t_end=1.0, kinetics="semi")
     # t_end under half a step rounds to zero steps; a step count that
@@ -413,6 +416,18 @@ def test_monitor_export_deterministic(tmp_path, coarse):
     assert len(lines) == 1 + 20
     cells = lines[1].split(",")
     assert float(cells[0]) == pytest.approx(1e-3, rel=1e-12)
+
+
+def test_snapshots_taken_by_step_index(coarse):
+    # t_end = 0.0796 rounds up to 8 steps of 0.01, so 0.0799 is reached by
+    # the last one; 0.07 is taken at step 7, although 0.07/0.01 rounds to
+    # 7.000000000000001
+    mesh, ops = coarse
+    cfg = RunConfig(TURING, mesh, dt=0.01, t_end=0.0796, threshold=0.0,
+                    snapshot_times=(0.0799, 0.07, 0.005))
+    rec = simulate(cfg, ops)
+    assert [(t, s.step) for t, s in rec.snapshots] == [(0.005, 1), (0.07, 7), (0.0799, 8)]
+    assert rec.snapshots[-1][1].t == rec.final.t
 
 
 def test_snapshot_export_roundtrip(tmp_path, coarse):

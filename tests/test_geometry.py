@@ -1,8 +1,11 @@
 """Geometry: annulus records, polar grids, triangulation, mesh files."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from annulus_rd import geometry
 from annulus_rd.geometry import (
     DESK_SCALE_H,
     GeometryError,
@@ -75,6 +78,65 @@ def test_triangulation_deterministic():
     assert np.array_equal(m1.vertices, m2.vertices)
     assert np.array_equal(m1.triangles, m2.triangles)
     assert np.array_equal(m1.boundary_flags, m2.boundary_flags)
+
+
+# sha256 of vertices, triangles and boundary_flags, as recorded from the
+# mesher's earlier formulation (np.add.at scatter, 2-D np.unique of edges,
+# (n, 2) point array); the current loop must reproduce its meshes byte for byte
+MESH_GOLDEN = {
+    (0.5, 1.0, 0.2): ("87e472adf2216b235a824074f8f01de74094ecf28eac52e9b2c94198cf4370d8",
+                      "fb36894e3226f13fa6d729a9199b3e772f12953896834263b4fd6260f019c8e8",
+                      "b2254aa2f9a72be371333d8b4234558eab908f5de07fac0156433856b036fa5b"),
+    (0.5, 1.0, 0.15): ("3481b5fc25ea6926c4c191c4ee25866b6102a073597d6c56e2c0cb0061c6e3a8",
+                       "4a9448f4674a6b9e33a4f2d1b05a05288014ba219593740532b697528832b240",
+                       "8a4c4e62f76c3f1d556ec0b450fb3f383a0db4d612ba39c0cd7f15f6c5f50c88"),
+    (0.5, 1.0, DESK_SCALE_H): (
+        "9f13e5d6dafe4845694b38dbf885bf0f309e37ff8424c239e25c386a943c3746",
+        "50faf423af0075d51ba3f42c201c6f28d2d49c669af15133b902aedbaefb7fff",
+        "e12b7e74fc9486b304a7eb3cae095e3540a0680aefdf9222ccf873b88c6fdeb6"),
+    (1.0, 2.0, 0.2): ("cb6059a88b468a152a1adf0d668ef120acf57f07b41c3ae41aa2738c0ac9bddc",
+                      "eebd07521f1fd8dfad40b0f908cd02b4c5cdd337c148db0e27b5f8fd1e576423",
+                      "84dfc6b259ef88e1b688d9574e89fec8ab6d5cea26f358692c3b58fcd527aed3"),
+}
+
+
+@pytest.mark.parametrize("a, b, h", list(MESH_GOLDEN))
+def test_triangulation_golden_bytes(a, b, h):
+    mesh = triangulate_annulus(make_annulus(a, b), h)
+    assert (mesh.vertices.dtype, mesh.triangles.dtype, mesh.boundary_flags.dtype) == (
+        np.float64, np.int64, np.int8)
+    digests = tuple(hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+                    for arr in (mesh.vertices, mesh.triangles, mesh.boundary_flags))
+    assert digests == MESH_GOLDEN[(a, b, h)]
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_mesh_edges_matches_pairwise_unique(dtype):
+    # the 1-D key encoding must give the values, order and dtype of a
+    # row-wise unique of the sorted pairs
+    rng = np.random.default_rng(7)
+    for n_nodes, n_tri in ((3, 1), (40, 60), (5000, 20000)):
+        tri = rng.integers(0, n_nodes, size=(n_tri, 3)).astype(dtype)
+        want = np.unique(np.sort(np.vstack([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]),
+                                 axis=1), axis=0)
+        got = mesh_edges(tri)
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
+
+
+def test_delaunay_calls_on_desk_mesh(monkeypatch):
+    # pins the re-triangulation schedule, and that every Delaunay call goes
+    # through the module-global name (the benchmark's per-layer hook wraps it)
+    calls = []
+    real = geometry.Delaunay
+
+    def counting(points):
+        calls.append(len(points))
+        return real(points)
+
+    monkeypatch.setattr(geometry, "Delaunay", counting)
+    triangulate_annulus(make_annulus(0.5, 1.0), DESK_SCALE_H)
+    assert len(calls) == 29
 
 
 def test_triangulation_quality_and_area():
