@@ -10,20 +10,10 @@ from pathlib import Path
 
 import numpy as np
 
-# Flipped by the CLI --seedless flag: when True, asking for an unseeded
-# generator is an error instead of a silent source of nondeterminism.
-_SEEDLESS = False
-
-
-def set_seedless(flag: bool) -> None:
-    global _SEEDLESS
-    _SEEDLESS = bool(flag)
-
-
-def rng(seed=None) -> np.random.Generator:
-    """Central RNG constructor. Every caller in this package passes a seed."""
-    if seed is None and _SEEDLESS:
-        raise RuntimeError("unseeded RNG requested while --seedless is active")
+def rng(seed) -> np.random.Generator:
+    """Central RNG constructor; the seed is required, so no draw is unseeded."""
+    if seed is None:
+        raise ValueError("rng() needs a seed")
     return np.random.default_rng(seed)
 
 

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, fem, geometry, partition, spectrum, stability, verify
-from ._util import append_manifest, set_seedless, write_text
+from ._util import append_manifest, write_text
 
 EXIT_USAGE = 2
 EXIT_CONFIG = 3
@@ -72,7 +72,6 @@ _GLOBAL_OPTS = (
     ("out", str, "out", "output directory"),
     ("threads", int, 0, "worker cap for sweeps; 0 means all cores"),
     ("form", str, "consistent", "determinant form: consistent or paper-literal"),
-    ("seedless", "flag", False, "error out if anything requests an unseeded RNG"),
 )
 
 _SUBCOMMANDS = {
@@ -90,7 +89,6 @@ _SUBCOMMANDS = {
         ("b", float, 1.0, "outer radius"),
         ("k", int, 1, "mode index"),
         ("l", float, 0.3, "order"),
-        ("truncation", int, 80, "series truncation"),
         ("resolution", int, 400, "image side in pixels"),
     )),
     "classify": ("partition", (
@@ -249,7 +247,7 @@ def _cmd_eigenmode(opt, out_dir):
     with _domain():
         geom = geometry.make_annulus(opt["a"], opt["b"])
         mode = spectrum.ModeIndex(opt["k"], opt["l"])
-        series = spectrum.build_series(mode, truncation=opt["truncation"])
+        series = spectrum.build_series(mode)
         eta = float(np.sqrt(spectrum.eigenvalue(mode, geom)))
         grid = geometry.build_polar_grid(geom, N=95, M=90)
     path = out_dir / f"mode_k{opt['k']}_l{opt['l']:g}.ppm"
@@ -357,9 +355,10 @@ def run(argv) -> int:
     config_file = _load_config(args.config)
     opt = _resolve(args, config_file, section, opts)
     shared = _resolve(args, config_file, "cli", _GLOBAL_OPTS)
-    set_seedless(shared["seedless"])
     if shared["form"] not in stability.FORMS:
         raise _usage_error(f"--form must be one of {stability.FORMS}, got {shared['form']!r}")
+    if shared["threads"] < 0:
+        raise _domain_error(f"threads must be 0 (all cores) or positive, got {shared['threads']}")
     threads = shared["threads"] if shared["threads"] > 0 else (os.cpu_count() or 1)
     out_dir = Path(shared["out"])
     out_dir.mkdir(parents=True, exist_ok=True)

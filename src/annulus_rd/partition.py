@@ -356,7 +356,11 @@ def export_region_map(region: RegionMap, csv_path, raster_path=None,
 
 
 def import_region_labels(csv_path, n_alpha: int, n_beta: int) -> np.ndarray:
-    """Re-read the label grid from a region CSV written by export_region_map."""
+    """Re-read the label grid from a region CSV written by export_region_map.
+
+    A row without three fields, an unknown label or a row past the
+    n_alpha * n_beta cells raises PartitionError naming the line.
+    """
     labels = np.empty((n_beta, n_alpha), dtype=np.int8)
     by_name = {label.value: code for label, code in LABEL_CODES.items()}
     with open(csv_path, encoding="utf-8") as f:
@@ -364,11 +368,17 @@ def import_region_labels(csv_path, n_alpha: int, n_beta: int) -> np.ndarray:
         if header != REGION_CSV_HEADER:
             raise PartitionError(f"unexpected region CSV header: {header!r}")
         idx = 0
-        for line in f:
+        for lineno, line in enumerate(f, start=2):
             if not line.strip():
                 continue
-            _, _, name = line.strip().split(",")
-            labels[idx // n_alpha, idx % n_alpha] = by_name[name]
+            fields = line.strip().split(",")
+            if len(fields) != 3:
+                raise PartitionError(f"line {lineno}: expected 3 fields, got {len(fields)}")
+            if fields[2] not in by_name:
+                raise PartitionError(f"line {lineno}: unknown label {fields[2]!r}")
+            if idx == labels.size:
+                raise PartitionError(f"line {lineno}: more than {labels.size} rows")
+            labels[idx // n_alpha, idx % n_alpha] = by_name[fields[2]]
             idx += 1
     if idx != n_alpha * n_beta:
         raise PartitionError(f"region CSV has {idx} rows, expected {n_alpha * n_beta}")

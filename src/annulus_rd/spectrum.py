@@ -7,18 +7,16 @@ The eigenvalue for mode (k, l) is
             a b (a^(l+1) + b^(l+1)) (l+4k+2)
 
 with k a non-negative integer and l a real Bessel order away from the
-half-integer lattice. The matching eigenfunction is a superposition of two
-power series (Bessel functions of orders l and -l up to constants) times a
-phase factor exp(i l theta).
+half-integer lattice. The matching eigenfunction is the paper's Frobenius
+series R(x) = R1(x) + R2(x), a sum of two power series in x = eta r, times
+the phase factor exp(i l theta). Those series are the Bessel functions
 
-Evaluating those power series at arguments x = eta*r in the tens is the one
-genuinely delicate computation in this module: the alternating terms grow to
-around 10^8 before they decay, while the sum itself is order one, so plain
-double precision loses eight digits to cancellation. The series are therefore
-accumulated in double-double arithmetic (see _ddouble), which keeps the
-cancellation error near 10^-22 per unit term magnitude. The smooth prefactors
-x^l and x^-l are applied in ordinary doubles afterwards; they only scale the
-result and cannot cancel.
+    R(x) = 2^l Gamma(l+1) J_l(x) + 2^-l Gamma(1-l) J_-l(x)    (DLMF 10.2.2),
+
+and with J_-l = cos(pi l) J_l - sin(pi l) Y_l (DLMF 10.4.7) the profile is
+evaluated as one fixed combination of scipy's J_l and Y_l. Summing the
+alternating series term by term in floating point cannot do this: at
+x = eta(12, 0.3) = 67.3 its terms reach 9e26 against a sum of 0.16.
 
 The collocation residual check differentiates the radial profile with a
 barycentric Chebyshev matrix and applies the angular derivative analytically
@@ -31,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gamma, jv, yv
 
-from ._ddouble import dd_add, dd_div, dd_from, dd_mul, dd_neg, two_prod, two_sum
 from .geometry import AnnulusGeometry, PolarSpectralGrid
 
 HALF_INTEGER_TOL = 1e-9
@@ -40,10 +38,6 @@ HALF_INTEGER_TOL = 1e-9
 
 class SpectrumError(ValueError):
     """Invalid mode index or eigenvalue outside the supported range."""
-
-
-class TruncationRangeError(SpectrumError):
-    """Series argument too large: a term exceeded the overflow guard."""
 
 
 @dataclass(frozen=True)
@@ -215,109 +209,59 @@ def weighting_supremum(a: float, rho: float, branch: str) -> WeightingSupremum:
 # eigenfunction series
 # ---------------------------------------------------------------------------
 
-_OVERFLOW_GUARD = 1e300
-
-
 @dataclass(frozen=True)
 class EigenfunctionSeries:
-    """Truncated power-series representation of the radial eigenfunction.
+    """The radial eigenfunction of one mode as a combination of J_l and Y_l.
 
-    The radial profile is R(x) = R1(x) + R2(x) with
+    The paper's series R(x) = R1(x) + R2(x), with
 
-        R1(x) = x^l    * sum_j u_j (x^2)^j,
-        R2(x) = x^(-l) * sum_j v_j (x^2)^j,
+        R1(x) = x^l    * sum_j u_j (x^2)^j,   u_0 = 1,
+        R2(x) = x^(-l) * sum_j v_j (x^2)^j,   v_0 = 1,
 
-    where u_0 = v_0 = 1 and the coefficients obey
+    equals c_j J_l(x) + c_y Y_l(x) with the constants
 
-        u_{j+1}/u_j = -1 / (4 (j+1) (l+j+1)),
-        v_{j+1}/v_j = -1 / (4 (j+1) (-l+j+1)).
-
-    Coefficients are generated once, in double-double precision, and cached
-    as (hi, lo) pairs.
+        c_j = 2^l Gamma(l+1) + 2^-l Gamma(1-l) cos(pi l),
+        c_y = -2^-l Gamma(1-l) sin(pi l).
     """
 
     mode: ModeIndex
-    truncation: int
-    u_hi: np.ndarray
-    u_lo: np.ndarray
-    v_hi: np.ndarray
-    v_lo: np.ndarray
+    c_j: float
+    c_y: float
 
 
-def _coefficients(l: float, count: int) -> tuple[np.ndarray, np.ndarray]:
-    hi = np.empty(count)
-    lo = np.empty(count)
-    c = dd_from(np.float64(1.0))
-    hi[0], lo[0] = c
-    for j in range(count - 1):
-        den = dd_mul(dd_from(np.float64(4.0 * (j + 1))), two_sum(np.float64(l), np.float64(j + 1)))
-        c = dd_neg(dd_div(c, den))
-        hi[j + 1], lo[j + 1] = c
-    return hi, lo
+def build_series(mode: ModeIndex, truncation=None) -> EigenfunctionSeries:
+    """The two Bessel constants of one mode.
+
+    Raises SpectrumError where a constant overflows, from |l| of about 150
+    on. truncation is accepted and ignored: it sized the term loop of an
+    earlier power-series backend, and bench/workloads.py still passes it.
+    """
+    l = np.float64(mode.l)  # numpy powers overflow to inf, Python's raise
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_minus = 2.0**-l * gamma(1.0 - l)
+        c_j = 2.0**l * gamma(l + 1.0) + c_minus * np.cos(np.pi * l)
+        c_y = -c_minus * np.sin(np.pi * l)
+    if not (np.isfinite(c_j) and np.isfinite(c_y)):
+        raise SpectrumError(f"order l={mode.l} is too large: its Bessel constants overflow")
+    return EigenfunctionSeries(mode, float(c_j), float(c_y))
 
 
-def build_series(mode: ModeIndex, truncation: int = 80) -> EigenfunctionSeries:
-    """Generate and cache the series coefficients for one mode."""
-    if truncation < 1:
-        raise SpectrumError(f"truncation must be at least 1, got {truncation}")
-    uh, ul = _coefficients(mode.l, truncation)
-    vh, vl = _coefficients(-mode.l, truncation)
-    for arr in (uh, ul, vh, vl):
-        arr.setflags(write=False)
-    return EigenfunctionSeries(mode, int(truncation), uh, ul, vh, vl)
+def radial_part(series: EigenfunctionSeries, eta: float, r) -> np.ndarray:
+    """R1 + R2 at x = eta r for the radii r.
 
-
-def radial_part(series: EigenfunctionSeries, eta: float, r) -> tuple[np.ndarray, float]:
-    """Evaluate R1 + R2 at radii r, returning (values, tail estimate).
-
-    The two power series in x^2 = (eta r)^2 are summed in double-double
-    arithmetic up to the cached truncation, stopping early once the current
-    term of both series falls below 10^-14 of its partial sum at every
-    point. The tail estimate is the largest ratio |term|/|sum| at the stop.
-    Terms beyond the 10^300 guard abort the evaluation: the truncation
-    cannot represent the function there.
+    Raises SpectrumError for an argument x that is not positive and finite,
+    and for a value that is not finite, such as Y_l overflowing near x = 0.
     """
     x = np.asarray(r, dtype=np.float64) * float(eta)
-    if np.any(x <= 0.0):
-        raise SpectrumError("series argument eta*r must be positive")
+    if not np.all((x > 0.0) & np.isfinite(x)):
+        raise SpectrumError("series argument eta*r must be positive and finite")
     l = series.mode.l
-
-    # overflow inside the loop is handled by the guard below, not by numpy
     with np.errstate(over="ignore", invalid="ignore"):
-        t = two_prod(x, x)
-        p = (np.ones_like(x), np.zeros_like(x))
-        s1 = (np.full_like(x, series.u_hi[0]), np.full_like(x, series.u_lo[0]))
-        s2 = (np.full_like(x, series.v_hi[0]), np.full_like(x, series.v_lo[0]))
-        tail = 1.0
-        for j in range(1, series.truncation):
-            p = dd_mul(p, t)
-            term1 = dd_mul((series.u_hi[j], series.u_lo[j]), p)
-            term2 = dd_mul((series.v_hi[j], series.v_lo[j]), p)
-            m1, m2 = np.abs(term1[0]), np.abs(term2[0])
-            # guard the running power as well as the terms: p overflows the
-            # double-double splitter first when the coefficients are small,
-            # and a NaN from that would slip past a bare > comparison
-            worst = max(float(m1.max()), float(m2.max()), float(np.abs(p[0]).max()))
-            if worst > _OVERFLOW_GUARD or not np.isfinite(worst):
-                raise TruncationRangeError(
-                    f"series term exceeded {_OVERFLOW_GUARD:g} at term {j}; "
-                    f"argument eta*r = {x.max():g} is outside the convergent range")
-            s1 = dd_add(s1, term1)
-            s2 = dd_add(s2, term2)
-            r1 = m1 / np.maximum(np.abs(s1[0]), 1e-300)
-            r2 = m2 / np.maximum(np.abs(s2[0]), 1e-300)
-            tail = float(max(r1.max(), r2.max()))
-            if tail < 1e-14:
-                break
-
-    with np.errstate(over="raise"):
-        try:
-            pref1 = np.power(x, l)
-            pref2 = np.power(x, -l)
-        except FloatingPointError as exc:
-            raise TruncationRangeError(f"prefactor x^(+-{l}) overflowed") from exc
-    values = pref1 * (s1[0] + s1[1]) + pref2 * (s2[0] + s2[1])
-    return values, tail
+        values = series.c_j * jv(l, x) + series.c_y * yv(l, x)
+    if not np.all(np.isfinite(values)):
+        raise SpectrumError(f"radial profile of order l={l} is not finite "
+                            f"for eta*r in [{x.min():g}, {x.max():g}]")
+    return values
 
 
 def eigenfunction_value(series: EigenfunctionSeries, eta: float, r, theta):
@@ -331,7 +275,7 @@ def eigenfunction_value(series: EigenfunctionSeries, eta: float, r, theta):
     r = np.asarray(r, dtype=np.float64)
     theta = np.mod(np.asarray(theta, dtype=np.float64), 2.0 * np.pi)
     shape = np.broadcast_shapes(r.shape, theta.shape)
-    radial, _ = radial_part(series, eta, np.broadcast_to(r, shape).ravel())
+    radial = radial_part(series, eta, np.broadcast_to(r, shape).ravel())
     w = radial.reshape(shape) * np.exp(1j * series.mode.l * theta)
     if w.shape == ():
         return complex(w)
@@ -374,7 +318,7 @@ def collocation_residual(series: EigenfunctionSeries, eta: float,
     if grid.N < 8:
         raise SpectrumError(f"grid too coarse for differentiation: N={grid.N} < 8")
     r = grid.radial_nodes
-    R, _ = radial_part(series, eta, r)
+    R = radial_part(series, eta, r)
     # nodes ascend in r; cos(pi j/(N-1)) descends in x, so the classical
     # matrix already matches the node order and the affine map to [a, b]
     # contributes the factor dx/dr = -2/(b-a)
@@ -428,11 +372,10 @@ def render_phase_plot(series: EigenfunctionSeries, eta: float,
 
     w = np.zeros((n, n), dtype=np.complex128)
     if inside.any():
-        # the pixel grid is symmetric, so pixels share radii: sum the series
-        # once per distinct radius (its early stop and overflow guard take
-        # maxima over the same set of values, so the term count is unchanged)
+        # the pixel grid is symmetric, so pixels share radii: evaluate the
+        # profile once per distinct radius
         radii, which = np.unique(rr[inside], return_inverse=True)
-        radial, _ = radial_part(series, eta, radii)
+        radial = radial_part(series, eta, radii)
         theta = np.mod(np.arctan2(np.broadcast_to(Y, (n, n))[inside],
                                   np.broadcast_to(X, (n, n))[inside]), 2.0 * np.pi)
         w[inside] = radial[which] * np.exp(1j * series.mode.l * theta)

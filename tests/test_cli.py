@@ -69,6 +69,13 @@ def test_unknown_config_key(tmp_path):
     assert "E_CONFIG:" in proc.stderr
     assert "wavelength" in proc.stderr
 
+    # keys of removed options are unknown too
+    for section, key in (("spectrum", "truncation"), ("cli", "seedless")):
+        cfg.write_text(f"[{section}]\n{key} = 1\n")
+        proc = run_cli("eigenmode", "--config", "cfg.ini", cwd=tmp_path)
+        assert_exit(proc, 3)
+        assert "E_CONFIG:" in proc.stderr and key in proc.stderr
+
 
 def test_malformed_config(tmp_path):
     cfg = tmp_path / "cfg.ini"
@@ -124,6 +131,12 @@ def test_domain_errors(tmp_path):
         proc = run_cli(*args, cwd=tmp_path)
         assert_exit(proc, 4)
         assert "E_DOMAIN:" in proc.stderr and limit in proc.stderr
+
+    # a negative worker cap was silently taken as "all cores"
+    proc = run_cli("classify", "--n-alpha", "4", "--n-beta", "4", "--threads", "-3",
+                   cwd=tmp_path)
+    assert_exit(proc, 4)
+    assert "E_DOMAIN:" in proc.stderr and "threads" in proc.stderr
 
 
 def test_runtime_error_on_explicit_blowup(tmp_path):
@@ -219,12 +232,12 @@ def test_simulate_smoke(tmp_path):
 
 def test_shared_flags_accepted(tmp_path):
     proc = run_cli("classify", "--n-alpha", "20", "--n-beta", "20",
-                   "--seedless", "--form", "paper-literal", "--threads", "2",
+                   "--form", "paper-literal", "--threads", "2",
                    "--out", "o", cwd=tmp_path)
     assert_exit(proc, 0)
     entry = manifest_lines(tmp_path / "o")[0]
     assert entry["config"]["form"] == "paper-literal"
-    assert entry["config"]["seedless"] is True
+    assert "seedless" not in entry["config"]
     assert entry["config"]["threads"] == 2
 
 

@@ -197,6 +197,21 @@ def test_import_rejects_bad_header(tmp_path):
         import_region_labels(bad, 1, 1)
 
 
+@pytest.mark.parametrize("tail, line, message", [
+    (["0.5,0.5,StableNode", "0.9,0.9,StableNode"], 6, "more than 4 rows"),
+    (["0.5,0.5,Wobble"], 5, "unknown label 'Wobble'"),
+    (["0.5,StableNode"], 5, "expected 3 fields"),
+])
+def test_import_region_labels_malformed(tmp_path, tail, line, message):
+    # three good cells of a 2x2 grid, then the rows under test
+    rows = [REGION_CSV_HEADER, "0.1,0.1,StableNode", "0.5,0.1,StableNode",
+            "0.1,0.5,StableNode", *tail]
+    path = tmp_path / "r.csv"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(PartitionError, match=f"line {line}: {message}"):
+        import_region_labels(path, 2, 2)
+
+
 def test_export_curves(tmp_path):
     spec = _spec(21.0, 8.0)
     curves = build_curves(spec, [0.4])

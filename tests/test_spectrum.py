@@ -3,13 +3,11 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.special import gamma, jv
 
 from annulus_rd.geometry import make_annulus, build_polar_grid
 from annulus_rd.spectrum import (
     ModeIndex,
     SpectrumError,
-    TruncationRangeError,
     WeightingProfile,
     build_series,
     collocation_residual,
@@ -139,29 +137,52 @@ def test_weighting_supremum_branches():
         weighting_supremum(0.5, 0.5, "sideways")
 
 
+# R = R1 + R2 = 2^l G(l+1) J_l(x) + 2^-l G(1-l) J_-l(x) at 50 digits, printed
+# by tools/oracle_goldens.py ("radial profile R = R1 + R2 by besselj")
+_RADIAL_GOLDENS = (
+    (0.3, 2.0, 0.42412609228526020042),
+    (0.3, 5.3270, -0.13033199328493799928),
+    (1.3, 7.0, -0.11178252148192265856),
+    (1.3, 22.3758, 0.33064109112686594903),
+    # x = eta(12, 0.3) r for r = 0.5, 0.6, ..., 1, where the terms of the
+    # power series reach 9e26 and a floating-point sum keeps no digit
+    (0.3, 33.6690895656802, 0.030972039104802578056),
+    (0.3, 40.4029074788162, -0.079103165326675707096),
+    (0.3, 47.1367253919522, -0.15798304449793127187),
+    (0.3, 53.8705433050882, -0.1975078404032042255),
+    (0.3, 60.6043612182243, -0.19588458961195218022),
+    (0.3, 67.3381791313603, -0.15788226703114874939),
+    # x = eta(12, 11.3) r for the same radii
+    (11.3, 29.6380444913886, 24259698901.046247823),
+    (11.3, 35.5656533896663, 28882134873.809705265),
+    (11.3, 41.493262287944, 21450824652.528849222),
+    (11.3, 47.4208711862218, 9401830944.317535164),
+    (11.3, 53.3484800844995, -2700978900.0791673069),
+    (11.3, 59.2760889827772, -12284309643.089523071),
+)
+
+
 def test_series_matches_bessel_combination():
-    # independent route: R(x) = 2^l G(l+1) J_l(x) + 2^-l G(1-l) J_-l(x)
-    for l, x in ((0.3, 2.0), (0.3, 5.3270), (1.3, 7.0), (1.3, 22.3758)):
-        series = build_series(ModeIndex(0, l))
-        got, tail = radial_part(series, 1.0, np.array([x]))
-        t1 = 2.0**l * gamma(l + 1) * jv(l, x)
-        t2 = 2.0**(-l) * gamma(1 - l) * jv(-l, x)
-        assert tail < 1e-13
-        assert abs(got[0] - (t1 + t2)) < 1e-12 * (abs(t1) + abs(t2))
+    bad = []
+    for l, x, expected in _RADIAL_GOLDENS:
+        got = radial_part(build_series(ModeIndex(0, l)), 1.0, np.array([x]))[0]
+        if not abs(got - expected) < 1e-12 * abs(expected):
+            bad.append((l, x, got, expected))
+    assert not bad
 
 
 def test_series_range_guards():
     series = build_series(ModeIndex(0, 0.3))
-    with pytest.raises(SpectrumError):
-        radial_part(series, 1.0, np.array([0.0]))
-    for x in (134.0, 5000.0, 1e152):
-        with pytest.raises(TruncationRangeError):
+    for x in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(SpectrumError, match="positive and finite"):
             radial_part(series, 1.0, np.array([x]))
-    with pytest.raises(TruncationRangeError):
-        # prefactor x^-l overflows long before the series terms do
+    with pytest.raises(SpectrumError, match="not finite"):
+        # Y_l(x) ~ -(G(l)/pi) (2/x)^l overflows near x = 0
         radial_part(build_series(ModeIndex(0, 1.3)), 1.0, np.array([1e-250]))
-    with pytest.raises(SpectrumError):
-        build_series(ModeIndex(0, 0.3), truncation=0)
+    # 2^l G(l+1) overflows from l of about 150 on
+    for l in (150.3, 2000.3):
+        with pytest.raises(SpectrumError, match="too large"):
+            build_series(ModeIndex(0, l))
 
 
 def test_collocation_residual_small():

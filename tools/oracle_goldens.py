@@ -79,6 +79,14 @@ def radial_series_one(l, x, jmax=250):
     return s
 
 
+def radial_bessel(l, x):
+    """R1 + R2 through the Bessel route 2^l G(l+1) J_l(x) + 2^-l G(1-l) J_-l(x)."""
+    l = mp.mpf(l)
+    x = mp.mpf(x)
+    return (2**l * mp.gamma(l + 1) * mp.besselj(l, x)
+            + 2**-l * mp.gamma(1 - l) * mp.besselj(-l, x))
+
+
 def show(label, value, digits=17):
     print(f"{label:58s} {mp.nstr(value, digits)}")
 
@@ -179,6 +187,17 @@ def main():
         show(f"R2 series", s2)
         show(f"R2 bessel", bessel2)
 
+    print("== radial profile R = R1 + R2 by besselj ==")
+    for l, x in [("0.3", "2"), ("0.3", "5.3270"), ("1.3", "7"), ("1.3", "22.3758")]:
+        show(f"R(l={l}, x={x})", radial_bessel(l, x), 20)
+    # x = eta(12, l) r along the radius, rounded to a 15-digit decimal that
+    # the tests quote; R is evaluated at that decimal
+    for l in ("0.3", "11.3"):
+        eta = mp.sqrt(eta_sq(12, mp.mpf(l), a, b))
+        for r in ("0.5", "0.6", "0.7", "0.8", "0.9", "1"):
+            x = mp.nstr(eta * mp.mpf(r), 15)
+            show(f"R(l={l}, x={x}) [r={r}]", radial_bessel(l, x), 20)
+
     # cancellation severity at the largest argument used by the residual check
     x = mp.sqrt(eta_sq(4, l13, a, b))  # eta for k=4, l=1.3
     show("eta(4,1.3)", x)
@@ -229,13 +248,6 @@ def main():
         ee = eta_sq(k, l_, a, b)
         eta = mp.sqrt(ee)
         j = 2 * k  # the index pairing claimed to generate mode k
-        # u_j coefficients with C0 = 1
-        def u(j):
-            c = mp.mpf(1)
-            for m in range(1, j + 1):
-                c *= -1 / (4 * m * (l_ + m))
-            # note: incorporate (-1)^j 4^-j j! product structure directly
-            return c / mp.factorial(0) if False else c
         # build F_j explicitly
         def F(j):
             coef = mp.mpf(1)
