@@ -14,7 +14,8 @@ the phase factor exp(i l theta). Those series are the Bessel functions
     R(x) = 2^l Gamma(l+1) J_l(x) + 2^-l Gamma(1-l) J_-l(x)    (DLMF 10.2.2),
 
 and with J_-l = cos(pi l) J_l - sin(pi l) Y_l (DLMF 10.4.7) the profile is
-evaluated as one fixed combination of scipy's J_l and Y_l. Summing the
+evaluated as one fixed combination of scipy's J_nu and Y_nu at nu = |l|.
+R is even in l, and at l < 0 the two terms would cancel for x < |l|. Summing the
 alternating series term by term in floating point cannot do this: at
 x = eta(12, 0.3) = 67.3 its terms reach 9e26 against a sum of 0.16.
 
@@ -29,11 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma, jv, yv
+from scipy.special import gamma, gammaln, jv, yv
 
 from .geometry import AnnulusGeometry, PolarSpectralGrid
 
 HALF_INTEGER_TOL = 1e-9
+# scipy 1.17's jv returns 0 for |J_nu(x)| below about 5e-305; below
+# this bound the J_nu term of the radial profile is known only to c_j * bound
+_J_FLOOR = 1e-300
 
 
 class SpectrumError(ValueError):
@@ -42,7 +46,7 @@ class SpectrumError(ValueError):
 
 @dataclass(frozen=True)
 class ModeIndex:
-    """Mode index (k, l): k >= 0 integer, l real and not a half-integer."""
+    """Mode index (k, l): k >= 0 integer, l real and not a multiple of 1/2."""
 
     k: int
     l: float
@@ -56,8 +60,8 @@ class ModeIndex:
         nearest = round(2.0 * self.l) / 2.0
         if abs(self.l - nearest) <= HALF_INTEGER_TOL:
             raise SpectrumError(
-                f"order l={self.l} is within {HALF_INTEGER_TOL} of the "
-                f"half-integer {nearest}; the series coefficients degenerate there")
+                f"order l={self.l} is within {HALF_INTEGER_TOL} of {nearest}, a "
+                f"multiple of 1/2; the series coefficients degenerate there")
 
 
 @dataclass(frozen=True)
@@ -211,56 +215,78 @@ def weighting_supremum(a: float, rho: float, branch: str) -> WeightingSupremum:
 
 @dataclass(frozen=True)
 class EigenfunctionSeries:
-    """The radial eigenfunction of one mode as a combination of J_l and Y_l.
+    """The radial eigenfunction of one mode as a combination of J_nu and Y_nu.
 
     The paper's series R(x) = R1(x) + R2(x), with
 
         R1(x) = x^l    * sum_j u_j (x^2)^j,   u_0 = 1,
         R2(x) = x^(-l) * sum_j v_j (x^2)^j,   v_0 = 1,
 
-    equals c_j J_l(x) + c_y Y_l(x) with the constants
+    is unchanged under l -> -l. With nu = |l| it equals
+    c_j 2^e_j J_nu(x) + c_y 2^e_y Y_nu(x), where
 
-        c_j = 2^l Gamma(l+1) + 2^-l Gamma(1-l) cos(pi l),
-        c_y = -2^-l Gamma(1-l) sin(pi l).
+        c_j 2^e_j = 2^nu Gamma(nu+1) + 2^-nu Gamma(1-nu) cos(pi nu),
+        c_y 2^e_y = -2^-nu Gamma(1-nu) sin(pi nu) = -pi / (2^nu Gamma(nu)).
+
+    The binary exponents e_j and e_y are 0 unless the constants overflow
+    float64, from nu of about 150 on.
     """
 
     mode: ModeIndex
     c_j: float
     c_y: float
+    e_j: int = 0
+    e_y: int = 0
 
 
 def build_series(mode: ModeIndex, truncation=None) -> EigenfunctionSeries:
     """The two Bessel constants of one mode.
 
-    Raises SpectrumError where a constant overflows, from |l| of about 150
-    on. truncation is accepted and ignored: it sized the term loop of an
-    earlier power-series backend, and bench/workloads.py still passes it.
+    They are formed at nu = |l|; only the phase factor of the mode keeps
+    the sign of l. Where 2^nu Gamma(nu+1) overflows, each constant is kept
+    as a mantissa and a binary exponent from gammaln, accurate to about
+    2e-13 relative. truncation is accepted and ignored: it sized the term
+    loop of an earlier power-series backend, and bench/workloads.py still
+    passes it.
     """
-    l = np.float64(mode.l)  # numpy powers overflow to inf, Python's raise
+    nu = np.float64(abs(mode.l))  # numpy powers overflow to inf, Python's raise
     with np.errstate(over="ignore", invalid="ignore"):
-        c_minus = 2.0**-l * gamma(1.0 - l)
-        c_j = 2.0**l * gamma(l + 1.0) + c_minus * np.cos(np.pi * l)
-        c_y = -c_minus * np.sin(np.pi * l)
-    if not (np.isfinite(c_j) and np.isfinite(c_y)):
-        raise SpectrumError(f"order l={mode.l} is too large: its Bessel constants overflow")
-    return EigenfunctionSeries(mode, float(c_j), float(c_y))
+        c_minus = 2.0**-nu * gamma(1.0 - nu)
+        c_j = 2.0**nu * gamma(nu + 1.0) + c_minus * np.cos(np.pi * nu)
+        c_y = -c_minus * np.sin(np.pi * nu)
+    if np.isfinite(c_j):
+        return EigenfunctionSeries(mode, float(c_j), float(c_y))
+    # log2 of |c_j| and |c_y|; the cos(pi nu) part of c_j is below 2^-2000 of it
+    lj = nu + gammaln(nu + 1.0) / np.log(2.0)
+    ly = np.log2(np.pi) - nu - gammaln(nu) / np.log(2.0)
+    e_j, e_y = int(np.floor(lj)), int(np.floor(ly))
+    return EigenfunctionSeries(mode, float(2.0**(lj - e_j)), float(-2.0**(ly - e_y)), e_j, e_y)
 
 
 def radial_part(series: EigenfunctionSeries, eta: float, r) -> np.ndarray:
     """R1 + R2 at x = eta r for the radii r.
 
     Raises SpectrumError for an argument x that is not positive and finite,
-    and for a value that is not finite, such as Y_l overflowing near x = 0.
+    for a value that is not finite, such as Y_nu overflowing near x = 0,
+    and where |J_nu| is below _J_FLOOR (scipy returns 0 there) while its
+    term could still move the value by more than one rounding.
     """
     x = np.asarray(r, dtype=np.float64) * float(eta)
     if not np.all((x > 0.0) & np.isfinite(x)):
         raise SpectrumError("series argument eta*r must be positive and finite")
     l = series.mode.l
+    nu = abs(l)
+    j = jv(nu, x)
     with np.errstate(over="ignore", invalid="ignore"):
-        values = series.c_j * jv(l, x) + series.c_y * yv(l, x)
+        values = (np.ldexp(series.c_j * j, series.e_j)
+                  + np.ldexp(series.c_y * yv(nu, x), series.e_y))
+        lost = np.ldexp(abs(series.c_j) * _J_FLOOR, series.e_j)
     if not np.all(np.isfinite(values)):
         raise SpectrumError(f"radial profile of order l={l} is not finite "
                             f"for eta*r in [{x.min():g}, {x.max():g}]")
+    if np.any((np.abs(j) < _J_FLOOR) & (lost > np.finfo(np.float64).eps * np.abs(values))):
+        raise SpectrumError(f"J_{nu:g} underflows where its term still counts in the "
+                            f"radial profile of order l={l}")
     return values
 
 

@@ -159,6 +159,13 @@ _RADIAL_GOLDENS = (
     (11.3, 47.4208711862218, 9401830944.317535164),
     (11.3, 53.3484800844995, -2700978900.0791673069),
     (11.3, 59.2760889827772, -12284309643.089523071),
+    # negative orders with x < |l|, where the terms of the reflection
+    # J_-nu = cos(pi nu) J_nu - sin(pi nu) Y_nu cancel to 1e-37 relative
+    (-10.7, 3.3, 279315.31965212933221),
+    (-40.7, 6.8, 5.7852781328214124381e+33),
+    # x = eta(1, 160.3) r at r = a and b, where 2^l G(l+1) overflows float64
+    (160.3, 22.0001872292913, 7.3180759150270587449e+214),
+    (160.3, 44.0003744585826, 1.350607360435448931e+262),
 )
 
 
@@ -179,10 +186,13 @@ def test_series_range_guards():
     with pytest.raises(SpectrumError, match="not finite"):
         # Y_l(x) ~ -(G(l)/pi) (2/x)^l overflows near x = 0
         radial_part(build_series(ModeIndex(0, 1.3)), 1.0, np.array([1e-250]))
-    # 2^l G(l+1) overflows from l of about 150 on
-    for l in (150.3, 2000.3):
-        with pytest.raises(SpectrumError, match="too large"):
-            build_series(ModeIndex(0, l))
+    # scipy returns J_149.3(1.02) = 1.3e-305 as 0, and its term is most of R
+    with pytest.raises(SpectrumError, match="underflows"):
+        radial_part(build_series(ModeIndex(0, 149.3)), 1.0, np.array([1.02]))
+    # Gamma(1-l) has its poles at the positive integers
+    for l in (1.0, 2.0, -1.0):
+        with pytest.raises(SpectrumError, match="multiple of 1/2"):
+            ModeIndex(0, l)
 
 
 def test_collocation_residual_small():

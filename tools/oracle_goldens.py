@@ -197,6 +197,14 @@ def main():
         for r in ("0.5", "0.6", "0.7", "0.8", "0.9", "1"):
             x = mp.nstr(eta * mp.mpf(r), 15)
             show(f"R(l={l}, x={x}) [r={r}]", radial_bessel(l, x), 20)
+    # negative orders with x < |l|, where the reflection's terms cancel
+    for l, x in [("-10.7", "3.3"), ("-40.7", "6.8")]:
+        show(f"R(l={l}, x={x})", radial_bessel(l, x), 20)
+    # x = eta(1, 160.3) r at the radii a and b: 2^l Gamma(l+1) overflows float64
+    eta = mp.sqrt(eta_sq(1, mp.mpf("160.3"), a, b))
+    for r in ("0.5", "1"):
+        x = mp.nstr(eta * mp.mpf(r), 15)
+        show(f"R(l=160.3, x={x}) [r={r}]", radial_bessel("160.3", x), 20)
 
     # cancellation severity at the largest argument used by the residual check
     x = mp.sqrt(eta_sq(4, l13, a, b))  # eta for k=4, l=1.3
