@@ -114,6 +114,8 @@ def sweep_classify(spec: SweepSpec, threads: int = 1) -> RegionMap:
         B = betas[j0:j1, None]
         return _label_codes(*_trace_det(A, B, spec.gamma, spec.d, eta_sq, spec.form))
 
+    # a worker past one per row would only get an empty chunk
+    threads = min(threads, spec.n_beta)
     if threads <= 1:
         labels = rows(0, spec.n_beta)
     else:
@@ -154,23 +156,23 @@ def first_principles_labels(spec: SweepSpec) -> np.ndarray:
 # partitioning curves
 # ---------------------------------------------------------------------------
 
-def _cleared_polynomials(alpha: float, gamma: float, d: float, eta_sq: float,
-                         form: str) -> tuple[Polynomial, Polynomial]:
-    """(P, G): s*T = P(beta) cubic, and s^2*(T^2-4D) = G(beta) degree 6.
-
-    Multiplying T by s = beta + alpha and T^2 - 4D by s^2 clears every
-    denominator; since s > 0 on the admissible plane the roots are
-    unchanged.
-    """
+def _cleared_trace(spec: SweepSpec, eta_sq: float, alpha: float) -> Polynomial:
+    """s*T as a cubic in beta; multiplying by s = beta + alpha > 0 keeps the roots."""
     beta = Polynomial([0.0, 1.0])
     s = beta + alpha
-    c = d if form == "consistent" else d + 1.0
-    P = gamma * (beta - alpha - s**3) - (d + 1.0) * eta_sq * s
+    return spec.gamma * (beta - alpha - s**3) - (spec.d + 1.0) * eta_sq * s
+
+
+def _cleared_discriminant(spec: SweepSpec, eta_sq: float, alpha: float) -> Polynomial:
+    """s^2 (T^2 - 4D) as a degree-6 polynomial in beta, from _cleared_trace."""
+    beta = Polynomial([0.0, 1.0])
+    s = beta + alpha
+    gamma = spec.gamma
+    c = spec.d if spec.form == "consistent" else spec.d + 1.0
     # s * D, from D = (gamma (beta-alpha)/s - eta^2)(-gamma s^2 - c eta^2) + 2 gamma^2 beta s
     sD = (gamma * (beta - alpha) - eta_sq * s) * (-gamma * s**2 - c * eta_sq) \
         + 2.0 * gamma * gamma * beta * s**2
-    G = P**2 - 4.0 * s * sD
-    return P, G
+    return _cleared_trace(spec, eta_sq, alpha)**2 - 4.0 * s * sD
 
 
 def _real_roots_in(poly: Polynomial, lo: float, hi: float) -> np.ndarray:
@@ -201,7 +203,7 @@ def _bisect_roots(fn, lo: float, hi: float, samples: int = 2001) -> np.ndarray:
         f0 = vals[i]
         for _ in range(200):
             xm = 0.5 * (x0 + x1)
-            fm = fn(np.array([xm]))[0]
+            fm = fn(xm)
             if fm == 0.0 or (x1 - x0) < 1e-15 * max(1.0, abs(xm)):
                 x0 = x1 = xm
                 break
@@ -241,19 +243,19 @@ def _cross_checked_roots(poly_roots: np.ndarray, bisect_roots: np.ndarray,
     return poly_roots
 
 
-def _curve(spec: SweepSpec, alpha_samples, what: str, which: int, defining) -> np.ndarray:
+def _curve(spec: SweepSpec, alpha_samples, what: str, cleared, defining) -> np.ndarray:
     """Dual-method roots in beta of one defining function, per alpha sample.
 
-    which picks the cleared polynomial (0: s*T, 1: s^2 (T^2 - 4D));
-    defining(T, D) returns the function's value and the scale its tangency
-    residual is measured against. Points come sorted, as an (n, 2) array.
+    cleared(spec, eta_sq, alpha) builds the function's cleared polynomial
+    in beta; defining(T, D) returns the function's value and the scale its
+    tangency residual is measured against. Points come sorted, as an
+    (n, 2) array.
     """
     eta_sq = spec.eta_sq
     points = []
     for alpha in np.atleast_1d(np.asarray(alpha_samples, dtype=np.float64)):
         if not (spec.alpha_min <= alpha <= spec.alpha_max):
             raise PartitionError(f"alpha sample {alpha!r} outside the sweep window")
-        poly = _cleared_polynomials(alpha, spec.gamma, spec.d, eta_sq, spec.form)[which]
 
         def value_scale(beta, alpha=alpha):
             return defining(*_trace_det(alpha, beta, spec.gamma, spec.d, eta_sq, spec.form))
@@ -262,7 +264,8 @@ def _curve(spec: SweepSpec, alpha_samples, what: str, which: int, defining) -> n
             value, scale = value_scale(beta)
             return value / scale
 
-        proots = _merge_close(_real_roots_in(poly, spec.beta_min, spec.beta_max))
+        proots = _merge_close(_real_roots_in(cleared(spec, eta_sq, alpha),
+                                             spec.beta_min, spec.beta_max))
         broots = _bisect_roots(lambda beta: value_scale(beta)[0], spec.beta_min, spec.beta_max)
         for beta in _cross_checked_roots(proots, broots, residual, float(alpha), what):
             points.append((float(alpha), float(beta)))
@@ -276,7 +279,7 @@ def discriminant_curve(spec: SweepSpec, alpha_samples) -> np.ndarray:
     bisection (agreement 1e-6, tangencies admitted by residual); returns an
     (n, 2) array sorted by (alpha, beta).
     """
-    return _curve(spec, alpha_samples, "discriminant curve", 1,
+    return _curve(spec, alpha_samples, "discriminant curve", _cleared_discriminant,
                   lambda T, D: (T * T - 4.0 * D, 1.0 + T * T))
 
 
@@ -287,12 +290,10 @@ def transcritical_curve(spec: SweepSpec, alpha_samples) -> np.ndarray:
     determinant is not positive are discarded (they are not temporal-onset
     points).
     """
-    points = _curve(spec, alpha_samples, "transcritical curve", 0,
+    points = _curve(spec, alpha_samples, "transcritical curve", _cleared_trace,
                     lambda T, D: (T, 1.0 + abs(T)))
-    eta_sq = spec.eta_sq
-    D = [_trace_det(float(alpha), float(beta), spec.gamma, spec.d, eta_sq, spec.form)[1]
-         for alpha, beta in points]
-    return points[np.array(D) > 0.0]
+    _, D = _trace_det(points[:, 0], points[:, 1], spec.gamma, spec.d, spec.eta_sq, spec.form)
+    return points[D > 0.0]
 
 
 @dataclass(frozen=True)

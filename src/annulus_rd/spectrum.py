@@ -178,16 +178,21 @@ def weighting(profile: WeightingProfile) -> float:
     return float(_closed_form(0, profile.l, a, a + profile.rho)[0])
 
 
+# the printed supremum of the weighting over each branch of l, in units of
+# 1/(a b); stability inverts eigenvalue bounds through the same values
+_SUPREMUM = {"positive-l": 1.0, "negative-l": 2.0}
+
+
 @dataclass(frozen=True)
 class WeightingSupremum:
     """A quoted supremum of the weighting next to a numerical limit estimate.
 
     printed is the closed-form value 2/(a(rho+a)) (branch negative-l) or
-    1/(a(rho+a)) (branch positive-l). numeric_estimate evaluates the
-    weighting at l = -10^3 resp. l = 10^-6. The two agree on the positive
-    branch for every geometry, but on the negative branch only when
-    rho = a: the true l -> -inf limit is a^-2, and the discrepancy field
-    surfaces the difference rather than hiding it.
+    1/(a(rho+a)) (branch positive-l), from _SUPREMUM. numeric_estimate
+    evaluates the weighting at l = -10^3 resp. l = 10^-6. The two agree on
+    the positive branch for every geometry, but on the negative branch only
+    when rho = a: the true l -> -inf limit is a^-2, and the discrepancy
+    field surfaces the difference rather than hiding it.
     """
 
     branch: str
@@ -198,14 +203,10 @@ class WeightingSupremum:
 
 def weighting_supremum(a: float, rho: float, branch: str) -> WeightingSupremum:
     """Quoted supremum of f over l < 0 or l > 0, with a numeric cross-check."""
-    if branch == "negative-l":
-        printed = 2.0 / (a * (rho + a))
-        numeric = weighting(WeightingProfile(a, rho, -1e3))
-    elif branch == "positive-l":
-        printed = 1.0 / (a * (rho + a))
-        numeric = weighting(WeightingProfile(a, rho, 1e-6))
-    else:
+    if branch not in _SUPREMUM:
         raise SpectrumError(f"branch must be 'negative-l' or 'positive-l', got {branch!r}")
+    printed = _SUPREMUM[branch] / (a * (rho + a))
+    numeric = weighting(WeightingProfile(a, rho, -1e3 if branch == "negative-l" else 1e-6))
     return WeightingSupremum(branch, printed, numeric, abs(printed - numeric))
 
 
@@ -296,12 +297,15 @@ def eigenfunction_value(series: EigenfunctionSeries, eta: float, r, theta):
     theta is reduced to the principal angle in [0, 2 pi) first, so the
     value depends only on the geometric point: w(r, theta + 2 pi) equals
     w(r, theta) even for non-integer l, where the raw phase factor alone
-    would not be periodic.
+    would not be periodic. The radial profile is evaluated once per
+    distinct radius, since points often share radii (a symmetric pixel
+    grid does).
     """
     r = np.asarray(r, dtype=np.float64)
     theta = np.mod(np.asarray(theta, dtype=np.float64), 2.0 * np.pi)
     shape = np.broadcast_shapes(r.shape, theta.shape)
-    radial = radial_part(series, eta, np.broadcast_to(r, shape).ravel())
+    radii, inverse = np.unique(np.broadcast_to(r, shape).ravel(), return_inverse=True)
+    radial = radial_part(series, eta, radii)[inverse]
     w = radial.reshape(shape) * np.exp(1j * series.mode.l * theta)
     if w.shape == ():
         return complex(w)
@@ -391,20 +395,12 @@ def render_phase_plot(series: EigenfunctionSeries, eta: float,
     a, b = grid.a, grid.b
     n = int(resolution)
     coords = -b + 2.0 * b * (np.arange(n) + 0.5) / n
-    X = coords[None, :]
-    Y = -coords[:, None]  # image rows run top to bottom
-    rr = np.hypot(X, Y) + np.zeros((n, n))
+    X, Y = np.meshgrid(coords, -coords)  # image rows run top to bottom
+    rr = np.hypot(X, Y)
     inside = (rr >= a) & (rr <= b)
 
     w = np.zeros((n, n), dtype=np.complex128)
-    if inside.any():
-        # the pixel grid is symmetric, so pixels share radii: evaluate the
-        # profile once per distinct radius
-        radii, which = np.unique(rr[inside], return_inverse=True)
-        radial = radial_part(series, eta, radii)
-        theta = np.mod(np.arctan2(np.broadcast_to(Y, (n, n))[inside],
-                                  np.broadcast_to(X, (n, n))[inside]), 2.0 * np.pi)
-        w[inside] = radial[which] * np.exp(1j * series.mode.l * theta)
+    w[inside] = eigenfunction_value(series, eta, rr[inside], np.arctan2(Y[inside], X[inside]))
 
     mag = np.abs(w)
     peak = mag.max() if mag.max() > 0.0 else 1.0

@@ -18,6 +18,10 @@ both are first-class so their predictions can be compared.
 
 Growth rates are the printed root formula sigma = (T +- sqrt(T^2-4D))/2,
 so sigma1+sigma2 = T and sigma1*sigma2 = D.
+
+Each thickness bound inverts the printed supremum of the eigenvalue's
+thickness weighting: it is the rho at which that supremum of eta^2 reaches
+a critical eigenvalue (_thickness_bound).
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .geometry import make_annulus
-from .spectrum import ModeIndex, _eigenvalues, eigenvalue
+from .spectrum import _SUPREMUM, ModeIndex, _closed_form, _eigenvalues, eigenvalue
 
 FORMS = ("consistent", "paper-literal")
 
@@ -212,19 +216,23 @@ def classify_multimode(params: KineticParams, l: float, k_max: int, a: float,
 # thickness thresholds
 # ---------------------------------------------------------------------------
 
-def _bound(factor: float, d: float, gamma: float, mode: ModeIndex, a: float) -> float:
-    k, l = mode.k, mode.l
-    num = factor * (d + 1.0) * (2 * k + 1) * (l + 2 * k + 1) * (l + 4 * k) \
-        - gamma * a * a * (l + 4 * k + 2)
-    return num / (gamma * a * (l + 4 * k + 2))
+def _thickness_bound(mode: ModeIndex, a: float, branch: str, eta_sq_star: float) -> float:
+    """rho = c order / (a eta_sq_star) - a, past which eta^2 stays below eta_sq_star.
+
+    eta^2 = weight * order, and the printed supremum of the weighting on
+    the branch is c / (a (a + rho)) (spectrum._SUPREMUM: c = 1 for l > 0,
+    2 for l < 0); the bound solves c order / (a (a + rho)) = eta_sq_star.
+    """
+    # the order factor does not depend on the radii
+    order = float(_closed_form(mode.k, mode.l, a, a)[1])
+    return _SUPREMUM[branch] * order / (a * eta_sq_star) - a
 
 
 @dataclass(frozen=True)
 class HopfAdmissibility:
     """Two predicates for temporal (Hopf/transcritical) bifurcation.
 
-    paper_threshold is the quoted thickness threshold, negative_l_bound's
-    [8(d+1)(2k+1)(l+2k+1)(l+4k) - gamma a^2 (l+4k+2)] / (gamma a (l+4k+2)),
+    paper_threshold is the quoted thickness threshold, negative_l_bound's,
     and paper_admissible tests rho >= threshold. exact_admissible evaluates
     the operative inequality gamma > (d+1) eta^2(a, a+rho) with the true
     eigenvalue instead of its supremum bound. Because the quoted threshold
@@ -256,17 +264,18 @@ class ThicknessBound:
 def turing_only_bound(d: float, gamma: float, mode: ModeIndex, a: float) -> ThicknessBound:
     """Thickness bound below which instability is restricted to Turing type.
 
-    rho < [4(d+1)(2k+1)(l+2k+1)(l+4k) - gamma a^2 (l+4k+2)]/(gamma a (l+4k+2)).
-    A negative bound means no thickness satisfies the condition; it is
-    returned as-is with feasible=False.
+    The positive-l supremum inverted at eta^2 = gamma/(d+1), the onset of
+    temporal instability: rho = (d+1) order / (gamma a) - a. A negative
+    bound means no thickness satisfies the condition; it is returned as-is
+    with feasible=False.
     """
-    value = _bound(4.0, d, gamma, mode, a)
+    value = _thickness_bound(mode, a, "positive-l", gamma / (d + 1.0))
     return ThicknessBound(value, value > 0.0)
 
 
 def negative_l_bound(d: float, gamma: float, mode: ModeIndex, a: float) -> ThicknessBound:
-    """Factor-8 variant of the thickness bound, used on the l < 0 branch."""
-    value = _bound(8.0, d, gamma, mode, a)
+    """turing_only_bound on the l < 0 branch, whose supremum is twice as large."""
+    value = _thickness_bound(mode, a, "negative-l", gamma / (d + 1.0))
     return ThicknessBound(value, value > 0.0)
 
 
@@ -274,11 +283,9 @@ def negative_l_bound(d: float, gamma: float, mode: ModeIndex, a: float) -> Thick
 class RepeatedRootThreshold:
     """Thickness threshold for a stable repeated root, with its restriction.
 
-    rho_stable_below is
-    [8 or 4](d+1)(beta+alpha)(2k+1)(l+2k+1)(l+4k)
-    / (gamma a (beta-alpha-(beta+alpha)^3)(l+4k+2)) - a.
-    The threshold only applies when beta > alpha + (beta+alpha)^3
-    (restriction_ok); otherwise it is NaN.
+    rho_stable_below is the branch's supremum inverted at
+    eta^2 = gamma m / ((d+1) s), with s = beta+alpha and m = beta-alpha-s^3.
+    It only applies when m > 0 (restriction_ok); otherwise it is NaN.
     """
 
     rho_stable_below: float
@@ -288,21 +295,14 @@ class RepeatedRootThreshold:
 def repeated_root_thresholds(params: KineticParams, mode: ModeIndex, a: float,
                              branch: str) -> RepeatedRootThreshold:
     """Thickness threshold for a stable repeated root on the given branch."""
-    if branch == "negative-l":
-        factor = 8.0
-    elif branch == "positive-l":
-        factor = 4.0
-    else:
+    if branch not in _SUPREMUM:
         raise StabilityError(f"branch must be 'negative-l' or 'positive-l', got {branch!r}")
-    al, be, g = params.alpha, params.beta, params.gamma
-    s = al + be
-    margin = be - al - s**3
+    s = params.alpha + params.beta
+    margin = params.beta - params.alpha - s**3
     if margin <= 0.0:
         return RepeatedRootThreshold(float("nan"), False)
-    k, l = mode.k, mode.l
-    num = factor * (params.d + 1.0) * s * (2 * k + 1) * (l + 2 * k + 1) * (l + 4 * k)
-    den = g * a * margin * (l + 4 * k + 2)
-    return RepeatedRootThreshold(num / den - a, True)
+    eta_sq_star = params.gamma * margin / ((params.d + 1.0) * s)
+    return RepeatedRootThreshold(_thickness_bound(mode, a, branch, eta_sq_star), True)
 
 
 # ---------------------------------------------------------------------------

@@ -440,7 +440,8 @@ def criterion_12(work_dir=None) -> CriterionResult:
 
     t0 = time.perf_counter()
     if work_dir is None:
-        work_dir = tempfile.mkdtemp(prefix="verify-determinism-")
+        with tempfile.TemporaryDirectory(prefix="verify-determinism-") as tmp:
+            return criterion_12(tmp)
     work_dir = Path(work_dir)
     first = _artifact_set(work_dir / "run1")
     second = _artifact_set(work_dir / "run2")

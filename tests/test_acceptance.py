@@ -11,6 +11,8 @@ Ordering matters for speed: criterion 9 runs before 10 so the two long
 simulations can share the module-level cache in annulus_rd.verify.
 """
 
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -93,5 +95,8 @@ def test_criterion_11_mesh_fidelity():
     _check(verify.criterion_11())
 
 
-def test_criterion_12_byte_reproducibility():
+def test_criterion_12_byte_reproducibility(tmp_path, monkeypatch):
+    # the default work directory is temporary and must be removed afterwards
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     _check(verify.criterion_12())
+    assert list(tmp_path.iterdir()) == []

@@ -1,8 +1,12 @@
 """Partition: parameter-plane sweeps, curve extraction, exports."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
+from annulus_rd import partition
 from annulus_rd.geometry import make_annulus
 from annulus_rd.partition import (
     CODE_LABELS,
@@ -87,6 +91,31 @@ def test_sweep_thread_determinism():
     assert np.array_equal(lab1, lab4)
 
 
+def test_sweep_threads_capped_at_rows(monkeypatch):
+    # a stand-in pool records the worker count and maps in this thread, so
+    # no thread is started whatever count is asked for
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(partition, "ThreadPoolExecutor", SerialPool)
+    spec = _spec(21.0, 8.0, n=20)
+    region = sweep_classify(spec, threads=1000)
+    assert seen == [20]
+    assert np.array_equal(region.labels, sweep_classify(spec).labels)
+
+
 def test_turing_cells_nest_with_increasing_d():
     code = LABEL_CODES[StabilityLabel.TURING]
     prev = None
@@ -157,6 +186,64 @@ def test_curve_sample_outside_window():
         discriminant_curve(spec, [2.0])
     with pytest.raises(PartitionError):
         transcritical_curve(spec, [0.0])
+
+
+def _shifted(cleared):
+    """cleared with every root moved up by 1e-3."""
+    return lambda *args: cleared(*args)(Polynomial([-1e-3, 1.0]))
+
+
+def _extra_root(cleared):
+    """cleared with one more root, at beta = 0.25, where neither curve passes."""
+    return lambda *args: cleared(*args) * Polynomial([-0.25, 1.0])
+
+
+@pytest.mark.parametrize("fault, message", [
+    (_shifted, "methods disagree"),
+    (_extra_root, "no bisection partner"),
+])
+@pytest.mark.parametrize("builder, curve, alpha", [
+    ("_cleared_discriminant", discriminant_curve, 0.4),
+    ("_cleared_trace", transcritical_curve, 0.005),
+])
+def test_curve_cross_check_failures(monkeypatch, fault, message, builder, curve, alpha):
+    # a polynomial whose roots disagree with bisection must abort the run
+    spec = _spec(21.0, 8.0)
+    assert len(curve(spec, [alpha])) == 1
+    monkeypatch.setattr(partition, builder, fault(getattr(partition, builder)))
+    with pytest.raises(PartitionError, match=message):
+        curve(spec, [alpha])
+
+
+# sha256 of build_curves(...).discriminant / .transcritical bytes over the
+# curves window and 100 alpha samples, mode (0, 0.27): the four (gamma, d)
+# pairs of the plane-analysis benchmark, and the first in paper-literal form
+CURVE_GOLDEN = {
+    (21.0, 8.0, "consistent"): (
+        "49ae7e7c913719c6983cfe914d13349eb259b2e6aa767ec536f5a5a382fe29bb",
+        "ea0f76a34a7dbc3e852b04bbf681c3c9814651284d28522737707448607e5b4f"),
+    (1.0, 1.4, "consistent"): (
+        "b97db46c7839ba783e9b3fa3066417d4ee112908eb11c01331ec8fb7a4c5506c",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (250.0, 10.0, "consistent"): (
+        "3ab3438e0eae79cc2375c2de41bf6ccf39d3f09cc76baae6cbbac6e63283009d",
+        "630fbff88c1e79dfcde07769e148e03448452b7dd71bb517be18f2aea7496532"),
+    (730.0, 5.0, "consistent"): (
+        "79474a105b890830cda558aa7561f0badb6213beb7dbb1951de6b8709291bd52",
+        "725adc72df7a697bd3d5d3cdec7a5b16df121c6040df594d69696cc6619e80d9"),
+    (21.0, 8.0, "paper-literal"): (
+        "221e29143b3846a8ed5571225f95242a3c96792204a3aeee044c5fe4dfaec202",
+        "aa80c8a85554cb2accaf80917d87fc6a5dd98e09fb6c330b5ce9d396acee9416"),
+}
+
+
+@pytest.mark.parametrize("gamma, d, form", list(CURVE_GOLDEN))
+def test_curves_golden_bytes(gamma, d, form):
+    spec = SweepSpec(0.005, 0.995, 0.005, 1.0, 2, 2, gamma, d, MODE, GEOM, form)
+    curves = build_curves(spec, np.linspace(0.005, 0.995, 100))
+    digests = tuple(hashlib.sha256(points.tobytes()).hexdigest()
+                    for points in (curves.discriminant, curves.transcritical))
+    assert digests == CURVE_GOLDEN[(gamma, d, form)]
 
 
 def test_frozen_cell_values():
