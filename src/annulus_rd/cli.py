@@ -1,13 +1,20 @@
 """Command-line surface: subcommands over the toolkit plus config plumbing.
 
 Subcommands: spectrum, eigenmode, classify, curves, simulate, mesh, verify.
+Each is one row of _SUBCOMMANDS: the config section it reads, its options
+and its handler. That table drives the argument parser, the config-key
+check and dispatch. execute() runs a subcommand by name into a directory;
+`verify` calls it too, so its determinism criterion digests the files the
+CLI itself writes.
 
 Option resolution, highest priority first: command-line flag, config-file
 key, built-in default. Config files are INI text with one section per
 module; each subcommand reads the section of the module it drives
 (spectrum and eigenmode read [spectrum], classify and curves read
 [partition], simulate reads [fem], mesh reads [geometry]) and the shared
-flags read [cli]. Values are parsed in full double precision.
+flags read [cli]. A section accepts the keys of every subcommand that
+reads it; each subcommand ignores its siblings' keys. Values are parsed
+in full double precision.
 
 Every run appends one JSON line to <out>/manifest.jsonl recording the
 resolved configuration, package version, output digests and wall time.
@@ -63,169 +70,35 @@ def _domain():
 
 
 # ---------------------------------------------------------------------------
-# option resolution
+# option values
 # ---------------------------------------------------------------------------
 
-# option spec: (flag-name, type, default, help); type "flag" is a boolean
-# switch, "floats" a comma-separated float list
-_GLOBAL_OPTS = (
-    ("out", str, "out", "output directory"),
-    ("threads", int, 0, "worker cap for sweeps; 0 means all cores"),
-    ("form", str, "consistent", "determinant form: consistent or paper-literal"),
-)
-
-_SUBCOMMANDS = {
-    "spectrum": ("spectrum", (
-        ("a", float, 0.5, "inner radius"),
-        ("b", float, 1.0, "outer radius"),
-        ("k-min", int, 1, "first mode index"),
-        ("k-max", int, 12, "last mode index"),
-        ("l-start", float, 0.3, "first order"),
-        ("l-step", float, 1.0, "order increment"),
-        ("l-count", int, 12, "number of orders"),
-    )),
-    "eigenmode": ("spectrum", (
-        ("a", float, 0.5, "inner radius"),
-        ("b", float, 1.0, "outer radius"),
-        ("k", int, 1, "mode index"),
-        ("l", float, 0.3, "order"),
-        ("resolution", int, 400, "image side in pixels"),
-    )),
-    "classify": ("partition", (
-        ("alpha-min", float, 0.005, "sweep window"),
-        ("alpha-max", float, 1.0, "sweep window"),
-        ("beta-min", float, 0.005, "sweep window"),
-        ("beta-max", float, 1.0, "sweep window"),
-        ("n-alpha", int, 200, "grid columns"),
-        ("n-beta", int, 200, "grid rows"),
-        ("gamma", float, 1.0, "kinetic scale"),
-        ("d", float, 1.4, "diffusivity ratio"),
-        ("k", int, 0, "mode index"),
-        ("l", float, 0.27, "order"),
-        ("a", float, 0.5, "inner radius"),
-        ("b", float, 1.0, "outer radius"),
-    )),
-    "curves": ("partition", (
-        ("alpha-min", float, 0.005, "sample window"),
-        ("alpha-max", float, 0.995, "sample window"),
-        ("beta-min", float, 0.005, "root window"),
-        ("beta-max", float, 1.0, "root window"),
-        ("n-samples", int, 100, "alpha sample count"),
-        ("gamma", float, 21.0, "kinetic scale"),
-        ("d", float, 8.0, "diffusivity ratio"),
-        ("k", int, 0, "mode index"),
-        ("l", float, 0.27, "order"),
-        ("a", float, 0.5, "inner radius"),
-        ("b", float, 1.0, "outer radius"),
-    )),
-    "simulate": ("fem", (
-        ("alpha", float, 0.09, "kinetic parameter"),
-        ("beta", float, 0.45, "kinetic parameter"),
-        ("gamma", float, 250.0, "kinetic scale"),
-        ("d", float, 10.0, "diffusivity ratio"),
-        ("a", float, 0.5, "inner radius"),
-        ("b", float, 1.0, "outer radius"),
-        ("h", float, geometry.DESK_SCALE_H, "target mesh spacing"),
-        ("dt", float, 1e-3, "time step"),
-        ("t-end", float, 10.0, "final time"),
-        ("threshold", float, 5e-4, "stop when both monitor rates drop below; 0 disables"),
-        ("kinetics", str, "split", "reaction treatment: split, implicit or explicit"),
-        ("lumped", "flag", False, "lumped mass in the diffusion solve"),
-        ("snapshots", "floats", (), "comma-separated snapshot times"),
-    )),
-    "mesh": ("geometry", (
-        ("a", float, 0.5, "inner radius"),
-        ("b", float, 1.0, "outer radius"),
-        ("h", float, geometry.DESK_SCALE_H, "target spacing"),
-    )),
-    "verify": ("verify", ()),
-}
+def _flag(raw: str) -> bool:
+    """A boolean config value; on the command line the flag takes none."""
+    low = raw.strip().lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _parse_value(raw: str, cast, flag: str):
+def _floats(raw: str) -> tuple:
+    """A comma-separated float list; empty text is the empty list."""
+    raw = raw.strip()
+    return tuple(float(tok) for tok in raw.split(",")) if raw else ()
+
+
+def _parse_value(raw: str, parse, flag: str):
     try:
-        if cast is float:
-            return float(raw)
-        if cast is int:
-            return int(raw)
-        if cast == "flag":
-            low = raw.strip().lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if cast == "floats":
-            raw = raw.strip()
-            return tuple(float(tok) for tok in raw.split(",")) if raw else ()
-        return raw
+        return parse(raw)
     except ValueError as exc:
         raise _config_error(f"bad value for {flag}: {exc}") from exc
 
 
-def _load_config(path):
-    if path is None:
-        return {}
-    if not Path(path).is_file():
-        raise _config_error(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
-    try:
-        parser.read(path, encoding="utf-8")
-    except configparser.Error as exc:
-        raise _config_error(f"malformed config {path}: {exc}") from exc
-    return {section: dict(parser.items(section)) for section in parser.sections()}
-
-
-def _resolve(args, config, section, opts):
-    """flag > config-file key > default, returned as {underscored_name: value}."""
-    known = {name for name, _, _, _ in opts}
-    for key in config.get(section, {}):
-        if key not in known:
-            raise _config_error(f"unknown key {key!r} in section [{section}]")
-    resolved = {}
-    for name, cast, default, _ in opts:
-        attr = name.replace("-", "_")
-        flag_value = getattr(args, attr, None)
-        if flag_value is not None:
-            resolved[attr] = flag_value
-        elif name in config.get(section, {}):
-            resolved[attr] = _parse_value(config[section][name], cast, name)
-        else:
-            resolved[attr] = default
-    return resolved
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems through the CLI error channel."""
-
-    def error(self, message):
-        raise _usage_error(message)
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="annulus-rd",
-        description="Reaction-diffusion toolkit on a two-dimensional annulus")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="subcommand")
-    for name, (_, opts) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name)
-        for flag, cast, default, help_text in opts + _GLOBAL_OPTS + (
-                ("config", str, None, "INI config file"),):
-            kwargs = {"help": f"{help_text} (default {default})", "default": None}
-            if cast == "flag":
-                kwargs["action"] = "store_const"
-                kwargs["const"] = True
-            elif cast == "floats":
-                kwargs["type"] = lambda s, f=flag: _parse_value(s, "floats", f)
-            else:
-                kwargs["type"] = cast
-            p.add_argument(f"--{flag}", **kwargs)
-    return parser
-
-
 # ---------------------------------------------------------------------------
-# subcommand bodies: each returns (config_dict, output_paths, summary_line)
+# subcommand bodies: each takes (opt, out_dir), writes its files and returns
+# (output_paths, summary_line, ok)
 # ---------------------------------------------------------------------------
 
 def _cmd_spectrum(opt, out_dir):
@@ -240,7 +113,7 @@ def _cmd_spectrum(opt, out_dir):
     path = out_dir / "spectrum.csv"
     spectrum.export_spectrum_csv(table, path)
     return [path], (f"{table.eta.shape[0]}x{table.eta.shape[1]} eigenvalues, "
-                    f"eta range [{table.eta.min():.4f}, {table.eta.max():.4f}]")
+                    f"eta range [{table.eta.min():.4f}, {table.eta.max():.4f}]"), True
 
 
 def _cmd_eigenmode(opt, out_dir):
@@ -252,33 +125,30 @@ def _cmd_eigenmode(opt, out_dir):
         grid = geometry.build_polar_grid(geom, N=95, M=90)
     path = out_dir / f"mode_k{opt['k']}_l{opt['l']:g}.ppm"
     spectrum.render_phase_plot(series, eta, grid, path, resolution=opt["resolution"])
-    return [path], f"eta = {eta:.4f}, rendered {opt['resolution']}px phase plot"
+    return [path], f"eta = {eta:.4f}, rendered {opt['resolution']}px phase plot", True
 
 
-def _make_sweep_spec(opt, form, n_alpha, n_beta):
+def _make_sweep_spec(opt, n_alpha, n_beta):
     with _domain():
         return partition.SweepSpec(
             alpha_min=opt["alpha_min"], alpha_max=opt["alpha_max"],
             beta_min=opt["beta_min"], beta_max=opt["beta_max"],
             n_alpha=n_alpha, n_beta=n_beta, gamma=opt["gamma"], d=opt["d"],
             mode=spectrum.ModeIndex(opt["k"], opt["l"]),
-            geom=geometry.make_annulus(opt["a"], opt["b"]), form=form)
+            geom=geometry.make_annulus(opt["a"], opt["b"]), form=opt["form"])
 
 
-def _cmd_classify(opt, out_dir, form, threads):
-    spec = _make_sweep_spec(opt, form, opt["n_alpha"], opt["n_beta"])
-    region = partition.sweep_classify(spec, threads=threads)
-    csv_path = out_dir / "region.csv"
-    partition.export_region_map(region, csv_path,
-                                raster_path=out_dir / "region.pgm",
-                                legend_path=out_dir / "region_legend.txt")
+def _cmd_classify(opt, out_dir):
+    spec = _make_sweep_spec(opt, opt["n_alpha"], opt["n_beta"])
+    region = partition.sweep_classify(spec, threads=opt["threads"] or os.cpu_count() or 1)
+    paths = [out_dir / "region.csv", out_dir / "region.pgm", out_dir / "region_legend.txt"]
+    partition.export_region_map(region, paths[0], raster_path=paths[1], legend_path=paths[2])
     counts = region.counts()
-    summary = ", ".join(f"{name} = {counts[name]}" for name in sorted(counts))
-    return [csv_path, out_dir / "region.pgm", out_dir / "region_legend.txt"], summary
+    return paths, ", ".join(f"{name} = {counts[name]}" for name in sorted(counts)), True
 
 
-def _cmd_curves(opt, out_dir, form):
-    spec = _make_sweep_spec(opt, form, n_alpha=2, n_beta=2)
+def _cmd_curves(opt, out_dir):
+    spec = _make_sweep_spec(opt, n_alpha=2, n_beta=2)
     with _domain():
         if opt["n_samples"] < 1:
             raise ValueError(f"n-samples must be positive, got {opt['n_samples']}")
@@ -287,7 +157,7 @@ def _cmd_curves(opt, out_dir, form):
     path = out_dir / "curves.csv"
     partition.export_curves(curves, path)
     return [path], (f"{len(curves.discriminant)} discriminant points, "
-                    f"{len(curves.transcritical)} transcritical points")
+                    f"{len(curves.transcritical)} transcritical points"), True
 
 
 def _cmd_simulate(opt, out_dir):
@@ -310,7 +180,7 @@ def _cmd_simulate(opt, out_dir):
         paths.append(p)
     contrast = float(record.final.u.max() - record.final.u.min())
     return paths, (f"{len(mesh.triangles)} triangles, terminated by {record.termination} "
-                   f"at t = {record.final.t:.3f}, u contrast {contrast:.4f}")
+                   f"at t = {record.final.t:.3f}, u contrast {contrast:.4f}"), True
 
 
 def _cmd_mesh(opt, out_dir):
@@ -321,10 +191,10 @@ def _cmd_mesh(opt, out_dir):
     geometry.export_mesh(mesh, *paths)
     quality = float(geometry.triangle_quality(mesh.vertices, mesh.triangles).min())
     return paths, (f"{len(mesh.vertices)} vertices, {len(mesh.triangles)} triangles, "
-                   f"min quality {quality:.3f}")
+                   f"min quality {quality:.3f}"), True
 
 
-def _cmd_verify(out_dir):
+def _cmd_verify(opt, out_dir):
     results = verify.run_all()
     print(verify.format_table(results))
     # the written report carries no timings so repeated runs are byte-identical
@@ -334,9 +204,168 @@ def _cmd_verify(out_dir):
     write_text(report, "".join(lines))
     digests = verify._artifact_set(out_dir / "artifacts")
     paths = [report] + [out_dir / "artifacts" / name for name in digests]
-    all_green = all(r.passed for r in results)
     summary = f"{sum(r.passed for r in results)}/{len(results)} criteria passed"
-    return paths, summary, all_green
+    return paths, summary, all(r.passed for r in results)
+
+
+# ---------------------------------------------------------------------------
+# the subcommand table
+# ---------------------------------------------------------------------------
+
+# option spec: (flag-name, parser, default, help); the parser turns config
+# text into a value, and a _flag option is a switch without a value
+_GLOBAL_OPTS = (
+    ("out", str, "out", "output directory"),
+    ("threads", int, 0, "worker cap for sweeps; 0 means all cores"),
+    ("form", str, "consistent", "determinant form: consistent or paper-literal"),
+)
+
+_ANNULUS = (
+    ("a", float, 0.5, "inner radius"),
+    ("b", float, 1.0, "outer radius"),
+)
+_PLANE_MODE = (
+    ("k", int, 0, "mode index"),
+    ("l", float, 0.27, "order"),
+) + _ANNULUS
+
+# subcommand: (config section, options, handler)
+_SUBCOMMANDS = {
+    "spectrum": ("spectrum", _ANNULUS + (
+        ("k-min", int, 1, "first mode index"),
+        ("k-max", int, 12, "last mode index"),
+        ("l-start", float, 0.3, "first order"),
+        ("l-step", float, 1.0, "order increment"),
+        ("l-count", int, 12, "number of orders"),
+    ), _cmd_spectrum),
+    "eigenmode": ("spectrum", _ANNULUS + (
+        ("k", int, 1, "mode index"),
+        ("l", float, 0.3, "order"),
+        ("resolution", int, 400, "image side in pixels"),
+    ), _cmd_eigenmode),
+    "classify": ("partition", (
+        ("alpha-min", float, 0.005, "sweep window"),
+        ("alpha-max", float, 1.0, "sweep window"),
+        ("beta-min", float, 0.005, "sweep window"),
+        ("beta-max", float, 1.0, "sweep window"),
+        ("n-alpha", int, 200, "grid columns"),
+        ("n-beta", int, 200, "grid rows"),
+        ("gamma", float, 1.0, "kinetic scale"),
+        ("d", float, 1.4, "diffusivity ratio"),
+    ) + _PLANE_MODE, _cmd_classify),
+    "curves": ("partition", (
+        ("alpha-min", float, 0.005, "sample window"),
+        ("alpha-max", float, 0.995, "sample window"),
+        ("beta-min", float, 0.005, "root window"),
+        ("beta-max", float, 1.0, "root window"),
+        ("n-samples", int, 100, "alpha sample count"),
+        ("gamma", float, 21.0, "kinetic scale"),
+        ("d", float, 8.0, "diffusivity ratio"),
+    ) + _PLANE_MODE, _cmd_curves),
+    "simulate": ("fem", (
+        ("alpha", float, 0.09, "kinetic parameter"),
+        ("beta", float, 0.45, "kinetic parameter"),
+        ("gamma", float, 250.0, "kinetic scale"),
+        ("d", float, 10.0, "diffusivity ratio"),
+    ) + _ANNULUS + (
+        ("h", float, geometry.DESK_SCALE_H, "target mesh spacing"),
+        ("dt", float, 1e-3, "time step"),
+        ("t-end", float, 10.0, "final time"),
+        ("threshold", float, 5e-4, "stop when both monitor rates drop below; 0 disables"),
+        ("kinetics", str, "split", "reaction treatment: split, implicit or explicit"),
+        ("lumped", _flag, False, "lumped mass in the diffusion solve"),
+        ("snapshots", _floats, (), "comma-separated snapshot times"),
+    ), _cmd_simulate),
+    "mesh": ("geometry", _ANNULUS + (
+        ("h", float, geometry.DESK_SCALE_H, "target spacing"),
+    ), _cmd_mesh),
+    "verify": ("verify", (), _cmd_verify),
+}
+
+
+def execute(name: str, out_dir, **overrides):
+    """Run subcommand `name` into out_dir and return (paths, summary, ok).
+
+    Options are keyed by underscored name, shared flags included; those not
+    given take the subcommand's defaults. Nothing is printed and no
+    manifest line is written.
+    """
+    _, opts, handler = _SUBCOMMANDS[name]
+    opt = {flag.replace("-", "_"): default for flag, _, default, _ in opts + _GLOBAL_OPTS}
+    opt.update(overrides)
+    if opt["form"] not in stability.FORMS:
+        raise _usage_error(f"--form must be one of {stability.FORMS}, got {opt['form']!r}")
+    if opt["threads"] < 0:
+        raise _domain_error(f"threads must be 0 (all cores) or positive, got {opt['threads']}")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return handler(opt, out_dir)
+
+
+# ---------------------------------------------------------------------------
+# option resolution
+# ---------------------------------------------------------------------------
+
+def _load_config(path):
+    if path is None:
+        return {}
+    if not Path(path).is_file():
+        raise _config_error(f"config file not found: {path}")
+    parser = configparser.ConfigParser()
+    try:
+        parser.read(path, encoding="utf-8")
+    except configparser.Error as exc:
+        raise _config_error(f"malformed config {path}: {exc}") from exc
+    return {section: dict(parser.items(section)) for section in parser.sections()}
+
+
+def _resolve(args, config, section, opts):
+    """flag > config-file key > default, returned as {underscored_name: value}."""
+    values = config.get(section, {})
+    # a section accepts the options of every subcommand that reads it
+    known = {spec[0] for spec in opts}.union(
+        spec[0] for row_section, row_opts, _ in _SUBCOMMANDS.values()
+        if row_section == section for spec in row_opts)
+    for key in values:
+        if key not in known:
+            raise _config_error(f"unknown key {key!r} in section [{section}]")
+    resolved = {}
+    for name, parse, default, _ in opts:
+        attr = name.replace("-", "_")
+        flag_value = getattr(args, attr, None)
+        if flag_value is not None:
+            resolved[attr] = flag_value
+        elif name in values:
+            resolved[attr] = _parse_value(values[name], parse, name)
+        else:
+            resolved[attr] = default
+    return resolved
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse that reports usage problems through the CLI error channel."""
+
+    def error(self, message):
+        raise _usage_error(message)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="annulus-rd",
+        description="Reaction-diffusion toolkit on a two-dimensional annulus")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="subcommand")
+    for name, (_, opts, _) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name)
+        for flag, parse, default, help_text in opts + _GLOBAL_OPTS + (
+                ("config", str, None, "INI config file"),):
+            kwargs = {"help": f"{help_text} (default {default})", "default": None}
+            if parse is _flag:
+                kwargs.update(action="store_const", const=True)
+            else:
+                kwargs["type"] = parse
+            p.add_argument(f"--{flag}", **kwargs)
+    return parser
 
 
 # ---------------------------------------------------------------------------
@@ -351,41 +380,19 @@ def run(argv) -> int:
         print("E_USAGE: a subcommand is required", file=sys.stderr)
         return EXIT_USAGE
 
-    section, opts = _SUBCOMMANDS[args.subcommand]
+    section, opts, _ = _SUBCOMMANDS[args.subcommand]
     config_file = _load_config(args.config)
-    opt = _resolve(args, config_file, section, opts)
-    shared = _resolve(args, config_file, "cli", _GLOBAL_OPTS)
-    if shared["form"] not in stability.FORMS:
-        raise _usage_error(f"--form must be one of {stability.FORMS}, got {shared['form']!r}")
-    if shared["threads"] < 0:
-        raise _domain_error(f"threads must be 0 (all cores) or positive, got {shared['threads']}")
-    threads = shared["threads"] if shared["threads"] > 0 else (os.cpu_count() or 1)
-    out_dir = Path(shared["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    opt = {**_resolve(args, config_file, section, opts),
+           **_resolve(args, config_file, "cli", _GLOBAL_OPTS)}
 
     started = time.perf_counter()
-    all_green = True
-    if args.subcommand == "spectrum":
-        outputs, summary = _cmd_spectrum(opt, out_dir)
-    elif args.subcommand == "eigenmode":
-        outputs, summary = _cmd_eigenmode(opt, out_dir)
-    elif args.subcommand == "classify":
-        outputs, summary = _cmd_classify(opt, out_dir, shared["form"], threads)
-    elif args.subcommand == "curves":
-        outputs, summary = _cmd_curves(opt, out_dir, shared["form"])
-    elif args.subcommand == "simulate":
-        outputs, summary = _cmd_simulate(opt, out_dir)
-    elif args.subcommand == "mesh":
-        outputs, summary = _cmd_mesh(opt, out_dir)
-    else:
-        outputs, summary, all_green = _cmd_verify(out_dir)
-
+    outputs, summary, ok = execute(args.subcommand, opt["out"], **opt)
     wall = time.perf_counter() - started
     inputs = {"config": args.config} if args.config else None
-    append_manifest(out_dir, args.subcommand, {**opt, **shared}, outputs,
+    append_manifest(opt["out"], args.subcommand, opt, outputs,
                     inputs=inputs, wall_time_s=round(wall, 3))
     print(f"{args.subcommand}: {summary}")
-    return 0 if all_green else 1
+    return 0 if ok else 1
 
 
 def main() -> None:
@@ -394,12 +401,10 @@ def main() -> None:
     except CliError as exc:
         print(f"{exc.kind}: {exc}", file=sys.stderr)
         sys.exit(exc.code)
-    except (geometry.GeometryError, spectrum.SpectrumError, stability.StabilityError,
-            ValueError) as exc:
+    except ValueError as exc:
         print(f"E_DOMAIN: {exc}", file=sys.stderr)
         sys.exit(EXIT_DOMAIN)
-    except (fem.FemError, partition.PartitionError, geometry.MeshConvergenceError,
-            RuntimeError) as exc:
+    except RuntimeError as exc:
         print(f"E_RUNTIME: {exc}", file=sys.stderr)
         sys.exit(EXIT_RUNTIME)
     except OSError as exc:

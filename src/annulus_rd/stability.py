@@ -216,13 +216,23 @@ def classify_multimode(params: KineticParams, l: float, k_max: int, a: float,
 # thickness thresholds
 # ---------------------------------------------------------------------------
 
-def _thickness_bound(mode: ModeIndex, a: float, branch: str, eta_sq_star: float) -> float:
+def _thickness_bound(mode: ModeIndex, a: float, branch: str, gamma: float, d: float,
+                     m: float = 1.0, s: float = 1.0) -> float:
     """rho = c order / (a eta_sq_star) - a, past which eta^2 stays below eta_sq_star.
 
-    eta^2 = weight * order, and the printed supremum of the weighting on
-    the branch is c / (a (a + rho)) (spectrum._SUPREMUM: c = 1 for l > 0,
-    2 for l < 0); the bound solves c order / (a (a + rho)) = eta_sq_star.
+    eta_sq_star = gamma m / ((d+1) s), the onset of temporal instability
+    for m = s = 1. eta^2 = weight * order, and the printed supremum of the
+    weighting on the branch is c / (a (a + rho)) (spectrum._SUPREMUM: c = 1
+    for l > 0, 2 for l < 0); the bound solves c order / (a (a + rho)) =
+    eta_sq_star. a, gamma and d must be positive and finite; a margin m
+    that is not positive leaves no eta_sq_star and gives NaN.
     """
+    for name, value in (("a", a), ("gamma", gamma), ("d", d)):
+        if not (value > 0.0 and np.isfinite(value)):
+            raise StabilityError(f"{name} must be positive and finite, got {value}")
+    if not m > 0.0:
+        return float("nan")
+    eta_sq_star = gamma * m / ((d + 1.0) * s)
     # the order factor does not depend on the radii
     order = float(_closed_form(mode.k, mode.l, a, a)[1])
     return _SUPREMUM[branch] * order / (a * eta_sq_star) - a
@@ -269,13 +279,13 @@ def turing_only_bound(d: float, gamma: float, mode: ModeIndex, a: float) -> Thic
     bound means no thickness satisfies the condition; it is returned as-is
     with feasible=False.
     """
-    value = _thickness_bound(mode, a, "positive-l", gamma / (d + 1.0))
+    value = _thickness_bound(mode, a, "positive-l", gamma, d)
     return ThicknessBound(value, value > 0.0)
 
 
 def negative_l_bound(d: float, gamma: float, mode: ModeIndex, a: float) -> ThicknessBound:
     """turing_only_bound on the l < 0 branch, whose supremum is twice as large."""
-    value = _thickness_bound(mode, a, "negative-l", gamma / (d + 1.0))
+    value = _thickness_bound(mode, a, "negative-l", gamma, d)
     return ThicknessBound(value, value > 0.0)
 
 
@@ -298,11 +308,9 @@ def repeated_root_thresholds(params: KineticParams, mode: ModeIndex, a: float,
     if branch not in _SUPREMUM:
         raise StabilityError(f"branch must be 'negative-l' or 'positive-l', got {branch!r}")
     s = params.alpha + params.beta
-    margin = params.beta - params.alpha - s**3
-    if margin <= 0.0:
-        return RepeatedRootThreshold(float("nan"), False)
-    eta_sq_star = params.gamma * margin / ((params.d + 1.0) * s)
-    return RepeatedRootThreshold(_thickness_bound(mode, a, branch, eta_sq_star), True)
+    m = params.beta - params.alpha - s**3
+    return RepeatedRootThreshold(
+        _thickness_bound(mode, a, branch, params.gamma, params.d, m, s), m > 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ measured runtime, and a one-line detail string. run_all() executes them in
 order and format_table() renders the summary the `verify` subcommand prints.
 
 The two long-running criteria (9 and 10) share their simulation records
-through a module-level cache, so invoking them in either order never repeats
-a multi-minute run within one process.
+through a module-level cache (headline_run), so invoking them in either
+order never repeats a multi-minute run within one process. Criterion 12
+runs the CLI's own subcommands twice and compares the files' digests.
 """
 
 from __future__ import annotations
@@ -58,6 +59,10 @@ REFERENCE_L = 0.3 + np.arange(12)
 # fem module docstring for the damping rationale).
 TURING_PARAMS = stability.KineticParams(alpha=0.09, beta=0.45, gamma=250.0, d=10.0)
 HOPF_PARAMS = stability.KineticParams(alpha=0.05, beta=0.55, gamma=730.0, d=5.0)
+_HEADLINE_RUNS = {
+    "turing": dict(params=TURING_PARAMS, t_end=150.0, threshold=5e-4, kinetics="implicit"),
+    "hopf": dict(params=HOPF_PARAMS, t_end=30.0, threshold=0.0, kinetics="split"),
+}
 
 # Monitor peak detection, shared by criterion 10 and its comparison against
 # criterion 9: ignore the start-up transient (t < 2), require separation 0.5
@@ -311,32 +316,20 @@ def criterion_8() -> CriterionResult:
                    f"worst per-step drift {worst:.2e} (tol 1e-12), {runtime:.1f} s")
 
 
-def turing_run() -> tuple[fem.RunRecord, float]:
-    """The stationary-pattern headline run and its wall time (cached)."""
-    if "turing_run" not in _cache:
-        config = fem.RunConfig(params=TURING_PARAMS, mesh=_desk_mesh(), dt=1e-3,
-                               t_end=150.0, threshold=5e-4, kinetics="implicit")
+def headline_run(name: str) -> tuple[fem.RunRecord, float]:
+    """Headline run "turing" or "hopf" and its wall time (cached)."""
+    if name not in _cache:
+        config = fem.RunConfig(mesh=_desk_mesh(), dt=1e-3, **_HEADLINE_RUNS[name])
         start = time.perf_counter()
         record = fem.simulate(config)
-        _cache["turing_run"] = (record, time.perf_counter() - start)
-    return _cache["turing_run"]
-
-
-def hopf_run() -> tuple[fem.RunRecord, float]:
-    """The oscillatory headline run and its wall time (cached)."""
-    if "hopf_run" not in _cache:
-        config = fem.RunConfig(params=HOPF_PARAMS, mesh=_desk_mesh(), dt=1e-3,
-                               t_end=30.0, threshold=0.0, kinetics="split")
-        start = time.perf_counter()
-        record = fem.simulate(config)
-        _cache["hopf_run"] = (record, time.perf_counter() - start)
-    return _cache["hopf_run"]
+        _cache[name] = (record, time.perf_counter() - start)
+    return _cache[name]
 
 
 def criterion_9() -> CriterionResult:
     """Pattern run: threshold termination with non-uniform u, under 10 min."""
     t0 = time.perf_counter()
-    record, wall = turing_run()
+    record, wall = headline_run("turing")
     contrast = float(record.final.u.max() - record.final.u.min())
     passed = (record.termination == "threshold" and contrast > 0.1 and wall < 600.0)
     return _result(9, "stationary pattern run", passed, t0,
@@ -348,13 +341,13 @@ def criterion_9() -> CriterionResult:
 def criterion_10() -> CriterionResult:
     """Oscillatory run: recurrent monitor maxima; pattern run decays monotonically."""
     t0 = time.perf_counter()
-    record, wall = hopf_run()
+    record, wall = headline_run("hopf")
     peaks = fem.monitor_peaks(record, species="u", start_time=PEAK_START,
                               min_separation=PEAK_SEPARATION, min_height=PEAK_HEIGHT)
     early = peaks[peaks <= 15.0]
     recurrent_ok = len(early) >= 2
 
-    pattern, _ = turing_run()
+    pattern, _ = headline_run("turing")
     pattern_peaks = fem.monitor_peaks(pattern, species="u", start_time=PEAK_START,
                                       min_separation=PEAK_SEPARATION,
                                       min_height=PEAK_HEIGHT)
@@ -397,41 +390,27 @@ def criterion_11() -> CriterionResult:
                    f"min quality {quality:.3f}, area err {area_err:.2e}")
 
 
+# Criterion 12's artifact set: CLI subcommands run at their defaults but for
+# these overrides, which keep each one small.
+_ARTIFACT_RUNS = (
+    ("spectrum", {"k_max": 4, "l_count": 2}),
+    ("eigenmode", {"resolution": 120}),
+    ("classify", {"n_alpha": 60, "n_beta": 60, "gamma": 21.0, "d": 8.0}),
+    ("curves", {"alpha_min": 0.01, "alpha_max": 0.99, "n_samples": 25}),
+    ("mesh", {"h": 0.15}),
+    ("simulate", {"h": 0.15, "t_end": 0.05, "threshold": 0.0, "snapshots": (0.05,)}),
+)
+
+
 def _artifact_set(out_dir: Path) -> dict[str, str]:
-    """Produce one deterministic artifact of every export family; digest each."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    geom = _half_unit_annulus()
+    """Write the files of every exporting subcommand into out_dir; digest each."""
+    from . import cli  # cli imports this module at load time
 
-    table = spectrum.spectrum_table(range(1, 5), [0.3, 1.3], geom)
-    spectrum.export_spectrum_csv(table, out_dir / "spectrum.csv")
-
-    mode = spectrum.ModeIndex(1, 0.3)
-    series = spectrum.build_series(mode)
-    eta = np.sqrt(spectrum.eigenvalue(mode, geom))
-    grid = geometry.build_polar_grid(geom, N=32, M=36)
-    spectrum.render_phase_plot(series, eta, grid, out_dir / "mode.ppm", resolution=120)
-
-    spec = partition.SweepSpec(alpha_min=0.005, alpha_max=1.0, beta_min=0.005,
-                               beta_max=1.0, n_alpha=60, n_beta=60, gamma=21.0,
-                               d=8.0, mode=spectrum.ModeIndex(0, 0.27), geom=geom)
-    region = partition.sweep_classify(spec)
-    partition.export_region_map(region, out_dir / "region.csv",
-                                raster_path=out_dir / "region.pgm",
-                                legend_path=out_dir / "region_legend.txt")
-    curves = partition.build_curves(spec, np.linspace(0.01, 0.99, 25))
-    partition.export_curves(curves, out_dir / "curves.csv")
-
-    mesh = geometry.triangulate_annulus(geom, 0.15)
-    geometry.export_mesh(mesh, out_dir / "mesh.node", out_dir / "mesh.ele")
-
-    config = fem.RunConfig(params=TURING_PARAMS, mesh=mesh, dt=1e-3, t_end=0.05,
-                           threshold=0.0, snapshot_times=(0.05,))
-    record = fem.simulate(config)
-    fem.export_monitor(record, out_dir / "monitor.csv")
-    fem.export_snapshot(mesh, record.snapshots[0][1], out_dir / "snapshot.txt")
-
-    return {p.name: sha256_file(p) for p in sorted(out_dir.iterdir()) if p.is_file()}
+    digests = {}
+    for subcommand, overrides in _ARTIFACT_RUNS:
+        paths, _, _ = cli.execute(subcommand, out_dir, **overrides)
+        digests.update((p.name, sha256_file(p)) for p in paths)
+    return digests
 
 
 def criterion_12(work_dir=None) -> CriterionResult:

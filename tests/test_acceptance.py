@@ -100,3 +100,27 @@ def test_criterion_12_byte_reproducibility(tmp_path, monkeypatch):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     _check(verify.criterion_12())
     assert list(tmp_path.iterdir()) == []
+
+
+# Criterion 12's artifacts are the CLI's own files. Their digests were
+# recorded when verify still wrote them through a copy of each pipeline, as
+# mode.ppm and snapshot.txt (now mode_k1_l0.3.ppm and snapshot_t0.05.txt;
+# final.txt is the same state at t_end).
+ARTIFACT_DIGESTS = {
+    "spectrum.csv": "adb2a7bcef912e1842ec74452afc53982c25d21bd0ebae259e4645942db70c30",
+    "mode_k1_l0.3.ppm": "7cab35536b7fc3a5e2c4729f10a10ca1abdf04c5fbdc9f6ef817ba33f325fab3",
+    "region.csv": "9aceec7dcf94eaf28c7d9931b3610c70da9039833bb52080900016ee1a7fcebf",
+    "region.pgm": "f79b42438de707dd976e68acbb047320d90cb64ab12897cfd3e344db09422859",
+    "region_legend.txt": "e70f77242fbe633a53ff28f616409af8ede118f3115174f8fdf69bd1026f37d1",
+    "curves.csv": "ae520792eeef1bff60c65cbe206e23656aaac1ce067b6417ddc1f195472f5308",
+    "mesh.node": "445074409d8c442e4e25818a485733991d74152f85c57b833a5dd2f5f473834f",
+    "mesh.ele": "b6a5e2c794f95bccacc5bbd05da285491b0d189710d53d689751b210ec565034",
+    "monitor.csv": "044d78f1018a819fc9619c35102f5a25e93d1aac2949241598e11af7026f24bd",
+    "snapshot_t0.05.txt": "a79c364ef172b166f98a8688d090cd16c9a39334e539f2276a6d3349f65b9506",
+    "final.txt": "a79c364ef172b166f98a8688d090cd16c9a39334e539f2276a6d3349f65b9506",
+}
+
+
+def test_criterion_12_artifact_digests(tmp_path):
+    assert verify._artifact_set(tmp_path) == ARTIFACT_DIGESTS
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(ARTIFACT_DIGESTS)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import annulus_rd
+from annulus_rd import cli, verify
 from annulus_rd.verify import REFERENCE_ETA
 
 # The directory that holds the package this process imported. The child runs
@@ -75,6 +76,42 @@ def test_unknown_config_key(tmp_path):
         proc = run_cli("eigenmode", "--config", "cfg.ini", cwd=tmp_path)
         assert_exit(proc, 3)
         assert "E_CONFIG:" in proc.stderr and key in proc.stderr
+
+
+def test_config_sections_accept_sibling_keys(tmp_path):
+    # subcommands that read one section accept each other's keys and ignore them
+    (tmp_path / "spectrum.ini").write_text("[spectrum]\na = 0.4\nk-max = 6\n")
+    proc = run_cli("spectrum", "--config", "spectrum.ini", "--out", "s", cwd=tmp_path)
+    assert_exit(proc, 0)
+    assert "6x12 eigenvalues" in proc.stdout
+
+    proc = run_cli("eigenmode", "--config", "spectrum.ini", "--resolution", "60",
+                   "--out", "e", cwd=tmp_path)
+    assert_exit(proc, 0)
+    config = manifest_lines(tmp_path / "e")[0]["config"]
+    assert config["a"] == 0.4 and "k_max" not in config
+
+    (tmp_path / "partition.ini").write_text("[partition]\nn-alpha = 50\n")
+    proc = run_cli("curves", "--config", "partition.ini", "--n-samples", "10",
+                   "--out", "c", cwd=tmp_path)
+    assert_exit(proc, 0)
+    assert "n_alpha" not in manifest_lines(tmp_path / "c")[0]["config"]
+
+
+def test_bad_values(tmp_path):
+    # a bad flag value is a usage error, a bad config value a config error
+    for flag, value in (("--k-max", "six"), ("--snapshots", "0.1,x")):
+        sub = "simulate" if flag == "--snapshots" else "spectrum"
+        proc = run_cli(sub, flag, value, cwd=tmp_path)
+        assert_exit(proc, 2)
+        assert "E_USAGE:" in proc.stderr and flag in proc.stderr
+
+    cfg = tmp_path / "cfg.ini"
+    for key, value in (("lumped", "maybe"), ("snapshots", "0.1,x")):
+        cfg.write_text(f"[fem]\n{key} = {value}\n")
+        proc = run_cli("simulate", "--config", "cfg.ini", cwd=tmp_path)
+        assert_exit(proc, 3)
+        assert f"E_CONFIG: bad value for {key}" in proc.stderr
 
 
 def test_malformed_config(tmp_path):
@@ -239,6 +276,26 @@ def test_shared_flags_accepted(tmp_path):
     assert entry["config"]["form"] == "paper-literal"
     assert "seedless" not in entry["config"]
     assert entry["config"]["threads"] == 2
+
+
+def test_verify_report_and_exit_code(tmp_path, monkeypatch, capsys):
+    def green():
+        return verify.CriterionResult(1, "stub green", True, 0.0, "fine")
+
+    def red():
+        return verify.CriterionResult(2, "stub red", False, 0.0, "broken")
+
+    monkeypatch.setattr(verify, "ALL_CRITERIA", (green, red))
+    assert cli.run(["verify", "--out", str(tmp_path)]) == 1
+    assert (tmp_path / "report.txt").read_text() == (
+        "[ 1] PASS  stub green\n[ 2] FAIL  stub red\n")
+    assert "verify: 1/2 criteria passed" in capsys.readouterr().out
+
+    # the manifest records the report and each artifact criterion 12 digests
+    entry, = manifest_lines(tmp_path)
+    artifacts = {p.name for p in (tmp_path / "artifacts").iterdir()}
+    assert len(artifacts) == 11
+    assert set(entry["outputs"]) == artifacts | {"report.txt"}
 
 
 def test_version_flag(tmp_path):

@@ -282,6 +282,30 @@ def test_repeated_root_thresholds():
         repeated_root_thresholds(HOPF, mode, 0.5, "diagonal")
 
 
+BOUNDS = {
+    "turing_only_bound": lambda a, gamma, d: turing_only_bound(d, gamma, ModeIndex(0, 0.27), a),
+    "negative_l_bound": lambda a, gamma, d: negative_l_bound(d, gamma, ModeIndex(0, 0.27), a),
+    "hopf_admissibility": lambda a, gamma, d: hopf_admissibility(
+        d, gamma, ModeIndex(0, 0.27), a, 0.5),
+    # the restriction fails for these params at every a; a bad a still raises
+    "repeated_root_thresholds": lambda a, gamma, d: repeated_root_thresholds(
+        KineticParams(0.9, 0.1, gamma, d), ModeIndex(0, 1.3), a, "positive-l"),
+}
+
+
+@pytest.mark.parametrize("bound", sorted(BOUNDS))
+@pytest.mark.parametrize("name,value", [
+    ("a", -0.5), ("a", 0.0), ("a", np.inf), ("a", np.nan),
+    ("gamma", -21.0), ("gamma", np.inf), ("d", -1.0), ("d", np.nan),
+])
+def test_thickness_bound_inputs_refused(bound, name, value):
+    # a <= 0 or gamma <= 0 returned a bound, a = 0 or d = -1 divided by zero;
+    # KineticParams refuses a non-positive gamma or d first, the bound the rest
+    args = {"a": 0.5, "gamma": 21.0, "d": 8.0, name: value}
+    with pytest.raises(StabilityError, match=f"{name} must be"):
+        BOUNDS[bound](**args)
+
+
 def test_restriction_quantity_bounded():
     rng = np.random.default_rng(20260814)
     alpha = rng.uniform(1e-9, 50.0, size=1_000_000)
