@@ -156,23 +156,60 @@ def first_principles_labels(spec: SweepSpec) -> np.ndarray:
 # partitioning curves
 # ---------------------------------------------------------------------------
 
+# The cleared polynomials are built on bare coefficient arrays, lowest
+# degree first: numpy.polynomial's operators cost more in argument checks
+# than in arithmetic on polynomials this small. The helpers repeat what
+# those operators do -- np.convolve for products, the shorter array padded
+# for sums as polyutils._add pads it, trailing zeros trimmed -- with the
+# operands in the same order, so every coefficient is bit for bit the one
+# Polynomial arithmetic gives.
+
+def _trim(c: np.ndarray) -> np.ndarray:
+    n = len(c)
+    while n > 1 and c[n - 1] == 0:
+        n -= 1
+    return c[:n]
+
+
+def _mul(c1, c2) -> np.ndarray:
+    return _trim(np.convolve(c1, c2))
+
+
+def _add(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    if len(c1) > len(c2):
+        out = c1.copy()
+        out[:len(c2)] += c2
+    else:
+        out = c2.copy()
+        out[:len(c1)] += c1
+    return _trim(out)
+
+
+def _sub(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    # x - y and x + (-y) are the same IEEE operation
+    return _add(c1, -c2)
+
+
 def _cleared_trace(spec: SweepSpec, eta_sq: float, alpha: float) -> Polynomial:
     """s*T as a cubic in beta; multiplying by s = beta + alpha > 0 keeps the roots."""
-    beta = Polynomial([0.0, 1.0])
-    s = beta + alpha
-    return spec.gamma * (beta - alpha - s**3) - (spec.d + 1.0) * eta_sq * s
+    # gamma (beta - alpha - s^3) - (d+1) eta^2 s
+    s = np.array([alpha, 1.0])
+    return Polynomial(_sub(_mul([spec.gamma], _sub(np.array([-alpha, 1.0]), _mul(_mul(s, s), s))),
+                           _mul([(spec.d + 1.0) * eta_sq], s)))
 
 
 def _cleared_discriminant(spec: SweepSpec, eta_sq: float, alpha: float) -> Polynomial:
     """s^2 (T^2 - 4D) as a degree-6 polynomial in beta, from _cleared_trace."""
-    beta = Polynomial([0.0, 1.0])
-    s = beta + alpha
+    s = np.array([alpha, 1.0])
+    s2 = _mul(s, s)
     gamma = spec.gamma
     c = spec.d if spec.form == "consistent" else spec.d + 1.0
     # s * D, from D = (gamma (beta-alpha)/s - eta^2)(-gamma s^2 - c eta^2) + 2 gamma^2 beta s
-    sD = (gamma * (beta - alpha) - eta_sq * s) * (-gamma * s**2 - c * eta_sq) \
-        + 2.0 * gamma * gamma * beta * s**2
-    return _cleared_trace(spec, eta_sq, alpha)**2 - 4.0 * s * sD
+    sD = _add(_mul(_sub(_mul([gamma], np.array([-alpha, 1.0])), _mul([eta_sq], s)),
+                   _sub(_mul([-gamma], s2), np.array([c * eta_sq]))),
+              _mul(_mul([2.0 * gamma * gamma], [0.0, 1.0]), s2))
+    trace = _cleared_trace(spec, eta_sq, alpha).coef
+    return Polynomial(_sub(_mul(trace, trace), _mul(_mul([4.0], s), sD)))
 
 
 def _real_roots_in(poly: Polynomial, lo: float, hi: float) -> np.ndarray:
@@ -334,13 +371,16 @@ def export_region_map(region: RegionMap, csv_path, raster_path=None,
     from ._util import fmt, replacing, write_text
 
     spec = region.spec
-    alphas, betas = spec.alphas, spec.betas
-    lines = [REGION_CSV_HEADER + "\n"]
-    for j in range(spec.n_beta):
-        for i in range(spec.n_alpha):
-            label = CODE_LABELS[int(region.labels[j, i])].value
-            lines.append(f"{fmt(alphas[i])},{fmt(betas[j])},{label}\n")
-    write_text(csv_path, "".join(lines))
+    # each coordinate and label is formatted once; rows are written as they
+    # are joined, so the whole text is never held at once
+    alpha_texts = [fmt(alpha) for alpha in spec.alphas]
+    label_texts = {code: f",{label.value}\n" for code, label in CODE_LABELS.items()}
+    with replacing(csv_path, "w") as f:
+        f.write(REGION_CSV_HEADER + "\n")
+        for beta, codes in zip(spec.betas, region.labels):
+            middle = "," + fmt(beta)
+            f.write("".join([alpha + middle + label_texts[code]
+                             for alpha, code in zip(alpha_texts, codes.tolist())]))
 
     if raster_path is not None:
         img = np.zeros((spec.n_beta, spec.n_alpha), dtype=np.uint8)

@@ -64,20 +64,6 @@ class ModeIndex:
                 f"multiple of 1/2; the series coefficients degenerate there")
 
 
-@dataclass(frozen=True)
-class Eigenpair:
-    """Eigenvalue eta^2 with its two boundary-wise components."""
-
-    mode: ModeIndex
-    eta_sq: float
-    eta1_sq: float
-    eta2_sq: float
-
-    @property
-    def eta(self) -> float:
-        return float(np.sqrt(self.eta_sq))
-
-
 def _closed_form(k, l, a, b):
     """The closed form in its pieces, broadcast over k, l, a and b.
 
@@ -143,12 +129,6 @@ def eigenvalue_components(mode: ModeIndex, geom: AnnulusGeometry) -> tuple[float
     """
     _, _, inner, outer = _closed_form(mode.k, mode.l, geom.a, geom.b)
     return float(inner), float(outer)
-
-
-def eigenpair(mode: ModeIndex, geom: AnnulusGeometry) -> Eigenpair:
-    """Bundle the eigenvalue and its components for one mode."""
-    e1, e2 = eigenvalue_components(mode, geom)
-    return Eigenpair(mode, eigenvalue(mode, geom), e1, e2)
 
 
 # ---------------------------------------------------------------------------

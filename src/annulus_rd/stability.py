@@ -26,6 +26,7 @@ a critical eigenvalue (_thickness_bound).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -183,6 +184,23 @@ def classify_point(params: KineticParams, eta_sq: float,
     return _verdict(T, D, _label_codes(T, D))
 
 
+# distinct (l, k_max, a, rho) keys kept; a scan over (alpha, beta) repeats one
+_MODE_EIGENVALUES_CACHED = 32
+
+
+@functools.lru_cache(maxsize=_MODE_EIGENVALUES_CACHED, typed=True)
+def _mode_eigenvalues(l: float, k_max: int, a: float, rho: float) -> np.ndarray:
+    """eta^2 of the modes k = 0..k_max at order l on the annulus (a, a + rho), read-only.
+
+    Errors are raised as by make_annulus and eigenvalue(); lru_cache keeps
+    no exception, so a rejected input raises again on every call.
+    """
+    geom = make_annulus(a, a + rho)
+    eta_sq = _eigenvalues(np.array(range(k_max + 1)), l, geom.a, geom.b)
+    eta_sq.setflags(write=False)
+    return eta_sq
+
+
 @dataclass(frozen=True)
 class MultimodeResult:
     """Most unstable verdict over modes k = 0..k_max at fixed order l."""
@@ -202,9 +220,8 @@ def classify_multimode(params: KineticParams, l: float, k_max: int, a: float,
     """
     if k_max < 0:
         raise StabilityError(f"k_max must be non-negative, got {k_max}")
-    geom = make_annulus(a, a + rho)
     ks = range(k_max + 1)
-    T, D = trace_det(params, _eigenvalues(np.array(ks), l, geom.a, geom.b), form)
+    T, D = trace_det(params, _mode_eigenvalues(l, k_max, a, rho), form)
     entries = tuple((k, _verdict(float(t), float(dd), code))
                     for k, t, dd, code in zip(ks, T, D, _label_codes(T, D)))
     # first maximum wins ties, so the lowest such k is selected
@@ -311,20 +328,3 @@ def repeated_root_thresholds(params: KineticParams, mode: ModeIndex, a: float,
     m = params.beta - params.alpha - s**3
     return RepeatedRootThreshold(
         _thickness_bound(mode, a, branch, params.gamma, params.d, m, s), m > 0.0)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-VERDICT_CSV_HEADER = "alpha,beta,gamma,d,k,l,eta_sq,T,D,re_sigma1,im_sigma1,label"
-
-
-def verdict_csv_row(params: KineticParams, mode: ModeIndex, eta_sq: float,
-                    verdict: StabilityVerdict) -> str:
-    """One CSV row matching VERDICT_CSV_HEADER."""
-    cells = [params.alpha, params.beta, params.gamma, params.d, mode.k, mode.l,
-             eta_sq, verdict.trace, verdict.determinant,
-             verdict.sigma1.real, verdict.sigma1.imag]
-    text = ",".join(format(c, ".10g") for c in cells)
-    return f"{text},{verdict.label.value}"

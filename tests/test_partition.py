@@ -215,6 +215,40 @@ def test_curve_cross_check_failures(monkeypatch, fault, message, builder, curve,
         curve(spec, [alpha])
 
 
+def _reference_trace(spec, eta_sq, alpha):
+    beta = Polynomial([0.0, 1.0])
+    s = beta + alpha
+    return spec.gamma * (beta - alpha - s**3) - (spec.d + 1.0) * eta_sq * s
+
+
+def _reference_discriminant(spec, eta_sq, alpha):
+    beta = Polynomial([0.0, 1.0])
+    s = beta + alpha
+    gamma = spec.gamma
+    c = spec.d if spec.form == "consistent" else spec.d + 1.0
+    sD = (gamma * (beta - alpha) - eta_sq * s) * (-gamma * s**2 - c * eta_sq) \
+        + 2.0 * gamma * gamma * beta * s**2
+    return _reference_trace(spec, eta_sq, alpha)**2 - 4.0 * s * sD
+
+
+@pytest.mark.parametrize("form", ["consistent", "paper-literal"])
+def test_cleared_polynomials_match_polynomial_arithmetic(form):
+    # the coefficient-array builders against the same formulas written with
+    # numpy.polynomial operators: equal to the bit, trimmed to the same degree;
+    # eta_sq = gamma zeroes the leading term of the first factor of s*D
+    rng = np.random.default_rng(20261018)
+    for gamma, d in ((21.0, 8.0), (1.0, 1.4), (730.0, 5.0), *rng.uniform(0.1, 300.0, (3, 2))):
+        spec = SweepSpec(0.005, 1.0, 0.005, 1.0, 2, 2, gamma, d, MODE, GEOM, form)
+        for eta_sq in (0.0, spec.eta_sq, gamma, *rng.uniform(0.0, 60.0, 2)):
+            for alpha in (0.005, 1.0, *rng.uniform(0.005, 1.0, 5)):
+                for built, reference in ((partition._cleared_trace, _reference_trace),
+                                         (partition._cleared_discriminant,
+                                          _reference_discriminant)):
+                    got = built(spec, eta_sq, alpha).coef.tobytes()
+                    want = reference(spec, eta_sq, alpha).coef.tobytes()
+                    assert got == want, (built.__name__, gamma, d, eta_sq, alpha)
+
+
 # sha256 of build_curves(...).discriminant / .transcritical bytes over the
 # curves window and 100 alpha samples, mode (0, 0.27): the four (gamma, d)
 # pairs of the plane-analysis benchmark, and the first in paper-literal form
@@ -275,6 +309,23 @@ def test_region_map_roundtrip(tmp_path):
     first = csv.read_text().splitlines()
     assert first[0] == REGION_CSV_HEADER
     assert len(first) == 1 + 20 * 20
+
+
+def test_region_csv_matches_per_cell_reference(tmp_path):
+    # a non-square grid holding every label code, so a transposed or
+    # mis-ordered row shows; the reference formats each cell on its own
+    spec = SweepSpec(0.1, 0.7, 0.2, 0.9, 7, 5, 21.0, 8.0, MODE, GEOM)
+    labels = (np.arange(35, dtype=np.int8) % len(CODE_LABELS)).reshape(5, 7)
+    csv = tmp_path / "region.csv"
+    export_region_map(partition.RegionMap(spec, labels), csv)
+
+    lines = [REGION_CSV_HEADER + "\n"]
+    for j in range(spec.n_beta):
+        for i in range(spec.n_alpha):
+            lines.append(f"{float(spec.alphas[i])!r},{float(spec.betas[j])!r},"
+                         f"{CODE_LABELS[int(labels[j, i])].value}\n")
+    assert csv.read_bytes() == "".join(lines).encode("utf-8")
+    assert np.array_equal(import_region_labels(csv, 7, 5), labels)
 
 
 def test_import_rejects_bad_header(tmp_path):

@@ -12,7 +12,6 @@ from annulus_rd.spectrum import (
     build_series,
     collocation_residual,
     eigenfunction_value,
-    eigenpair,
     eigenvalue,
     eigenvalue_components,
     export_spectrum_csv,
@@ -86,8 +85,6 @@ def test_superposition(k, l, a, rho):
     total = eigenvalue(mode, geom)
     e1, e2 = eigenvalue_components(mode, geom)
     assert abs(total - (e1 + e2)) <= 1e-12 * abs(total)
-    pair = eigenpair(mode, geom)
-    assert pair.eta_sq == total and pair.eta1_sq == e1 and pair.eta2_sq == e2
 
 
 @given(k=_k_values, l=_l_values, a=_a_values, rho=_rho_values)

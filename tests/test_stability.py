@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from annulus_rd.geometry import make_annulus
-from annulus_rd.spectrum import ModeIndex, eigenvalue
+from annulus_rd import stability
+from annulus_rd.geometry import GeometryError, make_annulus
+from annulus_rd.spectrum import ModeIndex, SpectrumError, eigenvalue
 from annulus_rd.stability import (
     FORMS,
     HopfAdmissibility,
     KineticParams,
     StabilityError,
     StabilityLabel,
-    VERDICT_CSV_HEADER,
     classify_multimode,
     classify_point,
     hopf_admissibility,
@@ -23,7 +23,6 @@ from annulus_rd.stability import (
     steady_state,
     trace_det,
     turing_only_bound,
-    verdict_csv_row,
 )
 
 TURING = KineticParams(0.09, 0.45, 250.0, 10.0)
@@ -223,6 +222,34 @@ def test_multimode_equals_per_mode_classify_point(params, form):
     assert res.verdict is dict(res.per_mode)[res.selected_k]
 
 
+@pytest.mark.parametrize("first, second", [
+    ((1.3, 12, 0.5, 0.5), (1.3, 12, 0.5, 0.75)),    # rho differs
+    ((1.3, 12, 0.5, 0.5), (0.27, 12, 0.5, 0.5)),    # l differs
+])
+def test_multimode_eigenvalue_cache_keys(first, second):
+    # a scan caches the eigenvalue vector; a changed l or rho must not reuse it
+    for l, k_max, a, rho in (first, second, first):
+        eta_sq = stability._mode_eigenvalues(l, k_max, a, rho)
+        geom = make_annulus(a, a + rho)
+        assert eta_sq.tolist() == [eigenvalue(ModeIndex(k, l), geom) for k in range(k_max + 1)]
+        assert not eta_sq.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            eta_sq[0] = 0.0
+        res = classify_multimode(TURING, l, k_max, a, rho)
+        for k, verdict in res.per_mode:
+            assert verdict == classify_point(TURING, eigenvalue(ModeIndex(k, l), geom)), k
+
+
+@pytest.mark.parametrize("l, rho, error", [
+    (1.3, 0.0, GeometryError),     # b = a is no annulus
+    (1.5, 0.5, SpectrumError),     # half-integer order
+])
+def test_multimode_rejection_not_cached(l, rho, error):
+    for _ in range(2):
+        with pytest.raises(error):
+            classify_multimode(TURING, l, 4, 0.5, rho)
+
+
 def test_admissibility_frozen_values():
     adm = hopf_admissibility(8.0, 21.0, ModeIndex(0, 0.27), 0.5, 0.5)
     assert adm.paper_threshold == pytest.approx(0.53582127123977344, rel=1e-12)
@@ -313,12 +340,3 @@ def test_restriction_quantity_bounded():
     s = alpha + beta
     q = (beta - alpha - s**3) / s
     assert q.max() < 1.0
-
-
-def test_verdict_csv_row():
-    v = classify_point(TURING, ETA_SQ_K1)
-    row = verdict_csv_row(TURING, ModeIndex(1, 1.3), ETA_SQ_K1, v)
-    cells = row.split(",")
-    assert len(cells) == len(VERDICT_CSV_HEADER.split(","))
-    assert cells[-1] == "TuringInstability"
-    assert float(cells[0]) == 0.09 and float(cells[5]) == 1.3
