@@ -258,10 +258,11 @@ class _Stepper:
         gamma = p.gamma
         rate = np.maximum(np.abs(2.0 * u * v - 1.0) + u * u,
                           2.0 * np.abs(u * v) + u * u)
-        m = int(np.ceil(span * gamma * max(float(rate.max()), 1.0) / 0.5))
-        m = max(m, 1)
-        if m > self._MAX_SUBSTEPS:
-            raise FemError(f"kinetics substep count {m} at step {step}; state diverging")
+        # compared as a float: a rate that overflowed to inf has no int count
+        m = np.ceil(span * gamma * max(float(rate.max()), 1.0) / 0.5)
+        if not m <= self._MAX_SUBSTEPS:
+            raise FemError(f"kinetics substep count {m:.6g} at step {step}; state diverging")
+        m = max(int(m), 1)
         h = span / m
         for _ in range(m):
             f1, g1 = reaction_terms(p, u, v)

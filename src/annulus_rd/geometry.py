@@ -59,6 +59,8 @@ class AnnulusGeometry:
             raise GeometryError(f"inner radius must be positive, got a={self.a}")
         if not (self.b > self.a):
             raise GeometryError(f"outer radius must exceed inner, got a={self.a}, b={self.b}")
+        if not np.isfinite(self.b):
+            raise GeometryError(f"outer radius must be finite, got b={self.b}")
 
     @property
     def rho(self) -> float:

@@ -45,7 +45,8 @@ class SweepSpec:
     """A rectangular (alpha, beta) sweep at fixed (gamma, d, mode, geometry).
 
     Grid nodes are linspace(min, max, n) inclusive of both ends; window
-    minima must be strictly positive (the kinetics are only defined there).
+    minima must be strictly positive (the kinetics are only defined there)
+    and every bound finite.
     """
 
     alpha_min: float
@@ -61,16 +62,16 @@ class SweepSpec:
     form: str = "consistent"
 
     def __post_init__(self):
-        if not (0.0 < self.alpha_min < self.alpha_max):
-            raise PartitionError(f"need 0 < alpha_min < alpha_max, got [{self.alpha_min}, {self.alpha_max}]")
-        if not (0.0 < self.beta_min < self.beta_max):
-            raise PartitionError(f"need 0 < beta_min < beta_max, got [{self.beta_min}, {self.beta_max}]")
+        if not (0.0 < self.alpha_min < self.alpha_max < np.inf):
+            raise PartitionError(f"need 0 < alpha_min < alpha_max < inf, got [{self.alpha_min}, {self.alpha_max}]")
+        if not (0.0 < self.beta_min < self.beta_max < np.inf):
+            raise PartitionError(f"need 0 < beta_min < beta_max < inf, got [{self.beta_min}, {self.beta_max}]")
         if self.n_alpha < 2 or self.n_beta < 2:
             raise PartitionError(f"grid counts must be at least 2, got {self.n_alpha}x{self.n_beta}")
         if self.n_alpha * self.n_beta > 4_000_000:
             raise PartitionError(f"grid of {self.n_alpha}x{self.n_beta} cells exceeds the limit 4,000,000")
-        if not (self.gamma > 0.0 and self.d > 0.0):
-            raise PartitionError(f"gamma and d must be positive, got {self.gamma}, {self.d}")
+        if not (0.0 < self.gamma < np.inf and 0.0 < self.d < np.inf):
+            raise PartitionError(f"gamma and d must be positive and finite, got {self.gamma}, {self.d}")
         if self.form not in FORMS:
             raise PartitionError(f"form must be one of {FORMS}, got {self.form!r}")
 

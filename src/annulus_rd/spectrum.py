@@ -88,10 +88,12 @@ def _closed_form(k, l, a, b):
 
 
 def _eigenvalues(k, l, a, b) -> np.ndarray:
-    """eta^2 over broadcast arrays of modes and radii, checked like eigenvalue().
+    """eta^2 over broadcast arrays of modes and radii; the radii are taken as valid.
 
-    The first entry in row-major order that ModeIndex or eigenvalue() would
-    reject is handed to them, so it raises their error and message.
+    The first entry in row-major order with a mode index that ModeIndex
+    rejects raises its error. For l < -4k the order factor turns negative
+    and so does eta^2; that regime is rejected too, since a negative eta^2
+    has no oscillatory eigenmode attached to it.
     """
     k, l, a, b = np.broadcast_arrays(k, l, a, b)
     weight, order, _, _ = _closed_form(k, l, a, b)
@@ -102,22 +104,18 @@ def _eigenvalues(k, l, a, b) -> np.ndarray:
            | ~(np.abs(l - np.round(2.0 * l) / 2.0) > HALF_INTEGER_TOL) | (eta_sq < 0.0))
     if bad.any():
         i = np.unravel_index(np.argmax(bad), bad.shape)
-        eigenvalue(ModeIndex(k[i].item(), l[i].item()), AnnulusGeometry(a[i].item(), b[i].item()))
+        mode = ModeIndex(k[i].item(), l[i].item())
+        raise SpectrumError(f"eta^2 = {eta_sq[i].item()} is negative for mode "
+                            f"(k={mode.k}, l={mode.l})")
     return eta_sq
 
 
 def eigenvalue(mode: ModeIndex, geom: AnnulusGeometry) -> float:
     """Closed-form eigenvalue eta^2 for the given mode and annulus.
 
-    For l < -4k the order factor turns negative and so does eta^2; that
-    regime is rejected, since a negative eta^2 has no oscillatory
-    eigenmode attached to it.
+    A negative eta^2 (l < -4k) raises SpectrumError, from _eigenvalues.
     """
-    weight, order, _, _ = _closed_form(mode.k, mode.l, geom.a, geom.b)
-    value = float(weight * order)
-    if value < 0.0:
-        raise SpectrumError(f"eta^2 = {value} is negative for mode (k={mode.k}, l={mode.l})")
-    return value
+    return float(_eigenvalues(mode.k, mode.l, geom.a, geom.b))
 
 
 def eigenvalue_components(mode: ModeIndex, geom: AnnulusGeometry) -> tuple[float, float]:
@@ -398,7 +396,7 @@ def render_phase_plot(series: EigenfunctionSeries, eta: float,
 
 
 # ---------------------------------------------------------------------------
-# tables and diagnostics
+# tables
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -428,29 +426,3 @@ def export_spectrum_csv(table: SpectrumTable, path) -> None:
         row = ",".join(format(v, ".6g") for v in table.eta[i])
         lines.append(f"{int(k)},{row}\n")
     write_text(path, "".join(lines))
-
-
-def telescoping_residual(mode: ModeIndex, geom: AnnulusGeometry, j: int) -> float:
-    """Relative residual (F_j + F_{j+1}) / F_j of the pairwise-cancellation claim.
-
-    F_j is the j-th term of the summed boundary-derivative series
-
-        F_j = u_j (l+2j) [(eta a)^(l+2j-1) + (eta b)^(l+2j-1)],
-
-    evaluated at the closed-form eta of the given mode. The pairwise sum
-    vanishes only for the fundamental mode with j = 0; for higher modes the
-    residual is order one. This is a diagnostic, not an identity: callers
-    should log it, not assert on it.
-    """
-    l = mode.l
-    eta = float(np.sqrt(eigenvalue(mode, geom)))
-
-    def F(idx: int) -> float:
-        coef = 1.0
-        for m in range(1, idx + 1):
-            coef *= -1.0 / (4.0 * m * (l + m))
-        powers = (eta * geom.a) ** (l + 2 * idx - 1) + (eta * geom.b) ** (l + 2 * idx - 1)
-        return coef * (l + 2 * idx) * powers
-
-    fj = F(j)
-    return (fj + F(j + 1)) / fj

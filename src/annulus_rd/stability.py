@@ -17,7 +17,8 @@ exactly at eta^2 = 0 and define slightly different partitions otherwise;
 both are first-class so their predictions can be compared.
 
 Growth rates are the printed root formula sigma = (T +- sqrt(T^2-4D))/2,
-so sigma1+sigma2 = T and sigma1*sigma2 = D.
+so sigma1+sigma2 = T and sigma1*sigma2 = D; roots() is its one
+implementation, for scalars and arrays alike.
 
 Each thickness bound inverts the printed supremum of the eigenvalue's
 thickness weighting: it is the rho at which that supremum of eta^2 reaches
@@ -53,8 +54,9 @@ class KineticParams:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma", "d"):
-            if not (getattr(self, name) > 0.0):
-                raise StabilityError(f"{name} must be strictly positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (value > 0.0 and np.isfinite(value)):
+                raise StabilityError(f"{name} must be positive and finite, got {value}")
 
 
 def reaction_terms(params: KineticParams, u, v):
@@ -104,14 +106,30 @@ def trace_det(params: KineticParams, eta_sq: float, form: str = "consistent") ->
     return _trace_det(params.alpha, params.beta, params.gamma, params.d, eta_sq, form)
 
 
-def roots(T: float, D: float) -> tuple[complex, complex]:
-    """Growth rates sigma_{1,2} = (T +- sqrt(T^2 - 4D)) / 2."""
-    disc = T * T - 4.0 * D
-    if disc >= 0.0:
-        sq = np.sqrt(disc)
-        return complex((T + sq) / 2.0), complex((T - sq) / 2.0)
-    sq = np.sqrt(-disc)
-    return complex(T / 2.0, sq / 2.0), complex(T / 2.0, -sq / 2.0)
+def roots(T, D):
+    """Growth rates sigma_{1,2} = (T +- sqrt(T^2 - 4D)) / 2, broadcast over arrays.
+
+    A non-negative discriminant gives the real pair; otherwise (NaN
+    included) sigma = T/2 +- i sqrt(4D - T^2)/2. Scalars give two complex
+    numbers, arrays two complex arrays; sigma1 never has the smaller real part.
+    """
+    T, D = np.asarray(T, dtype=np.float64), np.asarray(D, dtype=np.float64)
+    disc = np.asarray(T * T - 4.0 * D)
+    cplx = ~(disc >= 0.0)  # a NaN discriminant takes the complex branch
+    sq = np.sqrt(np.negative(disc, out=disc, where=cplx), out=disc)
+    # the parts are written, not summed: T + 0j would turn T = -0.0 into +0.0
+    sigma = np.empty((2,) + sq.shape, dtype=np.complex128)
+    re, im = sigma.real, sigma.imag
+    np.add(T, sq, out=re[0, ...])
+    np.subtract(T, sq, out=re[1, ...])
+    np.copyto(re, T, where=cplx)
+    im[0, ...], im[1, ...] = sq, -sq
+    np.copyto(im, 0.0, where=~cplx)
+    re /= 2.0
+    im /= 2.0
+    if sq.ndim == 0:
+        return complex(sigma[0]), complex(sigma[1])
+    return sigma[0], sigma[1]
 
 
 class StabilityLabel(str, Enum):
@@ -192,7 +210,7 @@ _MODE_EIGENVALUES_CACHED = 32
 def _mode_eigenvalues(l: float, k_max: int, a: float, rho: float) -> np.ndarray:
     """eta^2 of the modes k = 0..k_max at order l on the annulus (a, a + rho), read-only.
 
-    Errors are raised as by make_annulus and eigenvalue(); lru_cache keeps
+    Errors are raised as by make_annulus and _eigenvalues; lru_cache keeps
     no exception, so a rejected input raises again on every call.
     """
     geom = make_annulus(a, a + rho)
@@ -207,26 +225,23 @@ class MultimodeResult:
 
     selected_k: int
     verdict: StabilityVerdict
-    per_mode: tuple[tuple[int, StabilityVerdict], ...]
 
 
 def classify_multimode(params: KineticParams, l: float, k_max: int, a: float,
                        rho: float, form: str = "consistent") -> MultimodeResult:
-    """Classify each mode k <= k_max and select the fastest-growing one.
+    """Select the fastest-growing mode k <= k_max and classify it.
 
-    The selected verdict is the one whose largest real part of sigma is
-    maximal; a point is unstable if any admitted mode destabilizes it, and
-    the winning mode is the pattern one expects to see first.
+    The selected mode is the one whose leading growth rate sigma1 has the
+    largest real part, the lowest such k on a tie; a point is unstable if
+    any admitted mode destabilizes it, and the winning mode is the pattern
+    one expects to see first. Only its verdict is built; classify_point
+    gives the verdict of any other mode.
     """
     if k_max < 0:
         raise StabilityError(f"k_max must be non-negative, got {k_max}")
-    ks = range(k_max + 1)
     T, D = trace_det(params, _mode_eigenvalues(l, k_max, a, rho), form)
-    entries = tuple((k, _verdict(float(t), float(dd), code))
-                    for k, t, dd, code in zip(ks, T, D, _label_codes(T, D)))
-    # first maximum wins ties, so the lowest such k is selected
-    best = max(entries, key=lambda e: max(e[1].sigma1.real, e[1].sigma2.real))
-    return MultimodeResult(best[0], best[1], entries)
+    k = int(np.argmax(roots(T, D)[0].real))
+    return MultimodeResult(k, _verdict(float(T[k]), float(D[k]), _label_codes(T[k], D[k])))
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,17 @@ def test_domain_errors(tmp_path):
         assert "E_DOMAIN:" in proc.stderr and "snapshot" in proc.stderr
     assert not list(tmp_path.rglob("snapshot_t*"))
 
+    # infinite parameters overflowed (exit 1), wrote an all-DiscriminantCurve
+    # map or a NaN table (exit 0), or failed on an array size (exit 4)
+    for args, what in ((("simulate", "--alpha", "inf", "--h", "0.15", "--t-end", "0.01"), "alpha"),
+                       (("classify", "--gamma", "inf", "--n-alpha", "4", "--n-beta", "4"), "gamma"),
+                       (("spectrum", "--b", "inf"), "outer radius"),
+                       (("mesh", "--b", "inf"), "outer radius")):
+        proc = run_cli(*args, "--out", "inf", cwd=tmp_path)
+        assert_exit(proc, 4)
+        assert "E_DOMAIN:" in proc.stderr and what in proc.stderr and "finite" in proc.stderr
+        assert not [p for p in (tmp_path / "inf").rglob("*") if p.is_file()], args
+
     # runaway sizes are refused before anything is allocated
     for args, limit in ((("classify", "--n-alpha", "100000", "--n-beta", "100000"), "4,000,000"),
                         (("eigenmode", "--resolution", "100000"), "2048")):

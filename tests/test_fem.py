@@ -380,6 +380,17 @@ def test_explicit_kinetics_blows_up(medium):
         simulate(cfg, ops)
 
 
+@pytest.mark.parametrize("u", [1e3, 1e160])
+def test_split_kinetics_substep_guard(coarse, u):
+    # a finite state whose rate bound overflows to inf raised OverflowError
+    # from the int substep count; both sizes are refused as diverging
+    mesh, ops = coarse
+    stepper = fem._Stepper(ops, RunConfig(TURING, mesh, dt=1e-3, t_end=1.0, kinetics="split"))
+    state = np.full(len(mesh.vertices), u)
+    with np.errstate(over="ignore"), pytest.raises(FemError, match="at step 7; state diverging"):
+        stepper._kinetics_interval(state, state, 5e-4, 7)
+
+
 def _synthetic_record(coarse_mesh):
     cfg = RunConfig(STABLE, coarse_mesh, dt=0.01, t_end=10.0)
     t = np.arange(1, 1001) * 0.01

@@ -18,7 +18,6 @@ from annulus_rd.spectrum import (
     radial_part,
     render_phase_plot,
     spectrum_table,
-    telescoping_residual,
     weighting,
     weighting_supremum,
 )
@@ -267,9 +266,9 @@ def test_spectrum_table_rejects_like_eigenvalue(k_range, l_list, k, l):
     assert str(table.value) == str(scalar.value)
 
 
-def test_telescoping_residual():
-    # pairwise cancellation holds only for the fundamental mode
-    assert abs(telescoping_residual(ModeIndex(0, 0.3), GEOM, 0)) < 1e-12
-    assert abs(telescoping_residual(ModeIndex(0, 1.3), GEOM, 0)) < 1e-12
-    r1 = telescoping_residual(ModeIndex(1, 0.3), GEOM, 0)
-    assert np.isfinite(r1) and abs(r1) > 1.0
+def test_negative_eigenvalue_message():
+    # l < -4k turns the order factor and eta^2 negative; one check refuses it
+    with pytest.raises(SpectrumError, match=r"^eta\^2 = -\d.* is negative for mode \(k=0, l=-0\.3\)$"):
+        eigenvalue(ModeIndex(0, -0.3), GEOM)
+    with pytest.raises(SpectrumError, match=r"is negative for mode \(k=0, l=-0\.3\)$"):
+        spectrum_table(range(0, 2), [0.3, -0.3], GEOM)

@@ -108,6 +108,20 @@ def test_transcritical_hand_point():
     assert v.label is StabilityLabel.TRANSCRITICAL_CURVE
 
 
+def _two_branch_roots(T, D):
+    """The scalar root formula roots() replaced, kept as its bitwise reference."""
+    disc = T * T - 4.0 * D
+    if disc >= 0.0:
+        sq = np.sqrt(disc)
+        return complex((T + sq) / 2.0), complex((T - sq) / 2.0)
+    sq = np.sqrt(-disc)
+    return complex(T / 2.0, sq / 2.0), complex(T / 2.0, -sq / 2.0)
+
+
+def _bits(z):
+    return np.array([z.real, z.imag]).view(np.uint64).tolist()
+
+
 @given(T=st.floats(min_value=-1e6, max_value=1e6),
        D=st.floats(min_value=-1e6, max_value=1e6))
 def test_roots_identities(T, D):
@@ -116,6 +130,29 @@ def test_roots_identities(T, D):
     assert abs((s1 + s2) - T) <= 1e-10 * scale
     assert abs((s1 * s2) - D) <= 1e-10 * scale
     assert s2.imag == -s1.imag
+    assert s1.real >= s2.real
+
+
+def test_roots_arrays_match_scalar_calls():
+    rng = np.random.default_rng(20261019)
+    T = np.concatenate([rng.uniform(-1e6, 1e6, 500), rng.standard_normal(500),
+                        rng.uniform(-1e-300, 1e-300, 200),
+                        [0.0, -0.0, 2.0, -2.0, 1e200, -1e200, 3.0, np.nan]])
+    D = np.concatenate([rng.uniform(-1e6, 1e6, 500), rng.standard_normal(500),
+                        rng.uniform(-1e-300, 1e-300, 200),
+                        [1.0, 1.0, 1.0, 1.0, 1.0, np.inf, np.inf, 1.0]])
+    D[-8:-4] = T[-8:-4] ** 2 / 4.0   # exact zero discriminant at +-0 and +-2
+    # T^2 overflows: an infinite discriminant at 1e200, inf - inf = NaN at -1e200
+    with np.errstate(over="ignore", invalid="ignore"):
+        s1, s2 = roots(T.reshape(2, -1), D.reshape(2, -1))
+        assert s1.shape == s2.shape == (2, T.size // 2)
+        for i, (t, d) in enumerate(zip(T.tolist(), D.tolist())):
+            scalar, reference = roots(t, d), _two_branch_roots(t, d)
+            assert all(isinstance(z, complex) for z in scalar)
+            got = (s1.ravel()[i], s2.ravel()[i])
+            # bitwise, so signs of zero and NaN parts are compared too
+            assert [_bits(z) for z in got] == [_bits(z) for z in scalar], (t, d)
+            assert [_bits(z) for z in scalar] == [_bits(z) for z in reference], (t, d)
 
 
 @given(alpha=_pos, beta=_pos,
@@ -184,21 +221,33 @@ def test_headline_mode_labels():
     assert h0.sigma1.real == pytest.approx(312.77673715837383 / 2.0, rel=1e-12)
 
 
+def _leading_mode(params, l, k_max, a, rho, form="consistent"):
+    """classify_point per k; the first k whose leading growth rate is maximal."""
+    geom = make_annulus(a, a + rho)
+    verdicts = [classify_point(params, eigenvalue(ModeIndex(k, l), geom), form)
+                for k in range(k_max + 1)]
+    growth = [v.sigma1.real for v in verdicts]
+    k = growth.index(max(growth))
+    return k, verdicts
+
+
 def test_multimode_selection():
     res = classify_multimode(TURING, 1.3, 4, 0.5, 0.5)
     assert res.selected_k == 1
     assert res.verdict.label is StabilityLabel.TURING
-    labels = {k: v.label for k, v in res.per_mode}
-    assert labels[0] is StabilityLabel.HOPF
-    assert labels[2] is StabilityLabel.STABLE_NODE
+    _, verdicts = _leading_mode(TURING, 1.3, 4, 0.5, 0.5)
+    assert verdicts[0].label is StabilityLabel.HOPF
+    assert verdicts[2].label is StabilityLabel.STABLE_NODE
+    assert res.verdict == verdicts[1]
 
     # the temporal-oscillation parameter set still picks a faster
     # spatial mode over the oscillatory fundamental one
     hres = classify_multimode(HOPF, 1.3, 4, 0.5, 0.5)
     assert hres.selected_k == 2
     assert hres.verdict.label is StabilityLabel.TURING
-    hl = {k: v.label for k, v in hres.per_mode}
-    assert hl[0] is StabilityLabel.HOPF
+    _, hverdicts = _leading_mode(HOPF, 1.3, 4, 0.5, 0.5)
+    assert hverdicts[0].label is StabilityLabel.HOPF
+    assert not hasattr(hres, "per_mode")
 
     with pytest.raises(StabilityError):
         classify_multimode(TURING, 1.3, -1, 0.5, 0.5)
@@ -212,14 +261,30 @@ _SCAN = np.random.default_rng(20261018).uniform(0.02, 0.98, size=(2, 2))
     *(KineticParams(alpha, beta, 250.0, 10.0) for alpha, beta in _SCAN)])
 @pytest.mark.parametrize("form", FORMS)
 def test_multimode_equals_per_mode_classify_point(params, form):
-    # the vectorized scan must reproduce the scalar path exactly, not approximately
+    # the array selection must reproduce the scalar path exactly, not approximately
     res = classify_multimode(params, l=1.3, k_max=12, a=0.5, rho=0.5, form=form)
-    geom = make_annulus(0.5, 1.0)
-    assert [k for k, _ in res.per_mode] == list(range(13))
-    for k, verdict in res.per_mode:
-        # dataclass equality: every field compared with ==
-        assert verdict == classify_point(params, eigenvalue(ModeIndex(k, 1.3), geom), form), k
-    assert res.verdict is dict(res.per_mode)[res.selected_k]
+    k, verdicts = _leading_mode(params, 1.3, 12, 0.5, 0.5, form)
+    assert res.selected_k == k
+    # dataclass equality: every field compared with ==
+    assert res.verdict == verdicts[k]
+
+
+def test_multimode_builds_one_verdict(monkeypatch):
+    built = []
+    original = stability._verdict
+    monkeypatch.setattr(stability, "_verdict", lambda *args: built.append(args) or original(*args))
+    classify_multimode(TURING, 1.3, 12, 0.5, 0.5)
+    assert len(built) == 1
+
+
+def test_multimode_tie_selects_lowest_k(monkeypatch):
+    # the fastest eigenvalue (k = 1 for TURING) repeated at k = 1 and 2
+    eta_sq = stability._mode_eigenvalues(1.3, 4, 0.5, 0.5).copy()
+    eta_sq[2] = eta_sq[1]
+    monkeypatch.setattr(stability, "_mode_eigenvalues", lambda *args: eta_sq)
+    res = classify_multimode(TURING, 1.3, 4, 0.5, 0.5)
+    assert res.selected_k == 1
+    assert res.verdict == classify_point(TURING, eta_sq[1])
 
 
 @pytest.mark.parametrize("first, second", [
@@ -236,8 +301,8 @@ def test_multimode_eigenvalue_cache_keys(first, second):
         with pytest.raises(ValueError, match="read-only"):
             eta_sq[0] = 0.0
         res = classify_multimode(TURING, l, k_max, a, rho)
-        for k, verdict in res.per_mode:
-            assert verdict == classify_point(TURING, eigenvalue(ModeIndex(k, l), geom)), k
+        k, verdicts = _leading_mode(TURING, l, k_max, a, rho)
+        assert res.selected_k == k and res.verdict == verdicts[k]
 
 
 @pytest.mark.parametrize("l, rho, error", [
