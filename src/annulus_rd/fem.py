@@ -49,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import bmat, coo_matrix, csr_matrix, diags
+from scipy.sparse import block_diag, bmat, coo_matrix, csr_matrix, diags
 # cg is not called here; bench/tracing.py still wraps fem.cg
 from scipy.sparse.linalg import cg, splu  # noqa: F401
 
@@ -219,7 +219,11 @@ class _Stepper:
         self.A_v = (M + dt * d * ops.stiffness).tocsr()
         self.factorizations = 0  # splu calls and factor solves over the run
         self.lu_solves = 0
-        if config.kinetics != "implicit":
+        if config.kinetics == "implicit":
+            # operators on the stacked state w = [u; v]
+            self.A2 = block_diag((self.A_u, self.A_v), format="csr")
+            self.M2 = block_diag((M, M), format="csr")
+        else:
             self._lu_u, self._lu_v = splu(self.A_u.tocsc()), splu(self.A_v.tocsc())
             self.factorizations = 2
         self._lu = None
@@ -288,7 +292,9 @@ class _Stepper:
 
     # -- backward Euler with chord Newton ------------------------------------
 
-    def _factorize(self, u, v):
+    def _factorize(self, w):
+        n = len(w) // 2
+        u, v = w[:n], w[n:]
         a = self.config.dt * self.config.params.gamma
         M = self.M
         fu = M @ diags(2.0 * u * v - 1.0)
@@ -302,38 +308,35 @@ class _Stepper:
     def _step_implicit(self, state: FemState) -> FemState:
         cfg = self.config
         dt, gamma = cfg.dt, cfg.params.gamma
-        bu = self.M @ state.u
-        bv = self.M @ state.v
-        tol = 1e-11 * max(1.0, float(np.abs(bu).max()), float(np.abs(bv).max()))
+        n = len(state.u)
+        w_old = np.concatenate([state.u, state.v])
+        b = self.M2 @ w_old
+        tol = 1e-11 * max(1.0, float(np.abs(b).max()))
         prev, self._prev = self._prev, None
         predicted = prev is not None and prev.step + 1 == state.step
-        if predicted:
-            u, v = 2.0 * state.u - prev.u, 2.0 * state.v - prev.v
-        else:
-            u, v = state.u.copy(), state.v.copy()
+        # w is rebound, never written in place, so w_old and best need no copy
+        w = 2.0 * w_old - np.concatenate([prev.u, prev.v]) if predicted else w_old
         if self._lu is None:
-            self._factorize(u, v)
-        n = len(u)
+            self._factorize(w)
         refreshes = 0
         uses = 0  # chord iterations on the current factor in this step
         corrections = 0
         res_prev = np.inf
         best = None
         for _ in range(self._NEWTON_MAXITER):
-            f, g = reaction_terms(cfg.params, u, v)
-            Fu = self.A_u @ u - bu - dt * gamma * (self.M @ f)
-            Fv = self.A_v @ v - bv - dt * gamma * (self.M @ g)
-            res = max(float(np.abs(Fu).max()), float(np.abs(Fv).max()))
+            F = np.concatenate(reaction_terms(cfg.params, w[:n], w[n:]))
+            R = self.A2 @ w - b - dt * gamma * (self.M2 @ F)
+            res = float(np.abs(R).max())
             if not np.isfinite(res):
                 if predicted and corrections == 0:
                     # the extrapolation overshot; start again from the old state
-                    u, v = state.u.copy(), state.v.copy()
+                    w = w_old
                     predicted = False
                     continue
                 if best is None:
                     raise FemError(f"Newton residual non-finite at step {state.step}")
-                u, v = best[0], best[1]
-                self._factorize(u, v)
+                w = best[0]
+                self._factorize(w)
                 refreshes += 1
                 if refreshes > self._NEWTON_MAXFACTOR:
                     raise FemError(f"Newton stalled at step {state.step}")
@@ -344,20 +347,18 @@ class _Stepper:
             # a correction would leave the extrapolation error in the state
             if res < tol and corrections > 0:
                 self._prev = state
-                return FemState(u, v, state.t + dt, state.step + 1)
-            if best is None or res < best[2]:
-                best = (u.copy(), v.copy(), res)
+                return FemState(w[:n], w[n:], state.t + dt, state.step + 1)
+            if best is None or res < best[1]:
+                best = (w, res)
             if uses >= 3 or res > 4.0 * res_prev:
-                self._factorize(u, v)
+                self._factorize(w)
                 refreshes += 1
                 if refreshes > self._NEWTON_MAXFACTOR:
                     raise FemError(
                         f"Newton not converging at step {state.step} (residual {res:.3e})")
                 uses = 0
-            delta = self._lu.solve(np.concatenate([Fu, Fv]))
+            w = w - self._lu.solve(R)
             self.lu_solves += 1
-            u = u - delta[:n]
-            v = v - delta[n:]
             uses += 1
             corrections += 1
             res_prev = res
