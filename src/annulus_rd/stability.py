@@ -190,8 +190,7 @@ def _label_codes(T, D) -> np.ndarray:
     return out
 
 
-def _verdict(T: float, D: float, code) -> StabilityVerdict:
-    s1, s2 = roots(T, D)
+def _verdict(T: float, D: float, s1: complex, s2: complex, code) -> StabilityVerdict:
     return StabilityVerdict(T, D, T * T - 4.0 * D, s1, s2, CODE_LABELS[int(code)])
 
 
@@ -199,7 +198,7 @@ def classify_point(params: KineticParams, eta_sq: float,
                    form: str = "consistent") -> StabilityVerdict:
     """Classify the steady state for one eigenvalue eta^2 by the sign table (_label_codes)."""
     T, D = trace_det(params, eta_sq, form)
-    return _verdict(T, D, _label_codes(T, D))
+    return _verdict(T, D, *roots(T, D), _label_codes(T, D))
 
 
 # distinct (l, k_max, a, rho) keys kept; a scan over (alpha, beta) repeats one
@@ -240,8 +239,10 @@ def classify_multimode(params: KineticParams, l: float, k_max: int, a: float,
     if k_max < 0:
         raise StabilityError(f"k_max must be non-negative, got {k_max}")
     T, D = trace_det(params, _mode_eigenvalues(l, k_max, a, rho), form)
-    k = int(np.argmax(roots(T, D)[0].real))
-    return MultimodeResult(k, _verdict(float(T[k]), float(D[k]), _label_codes(T[k], D[k])))
+    s1, s2 = roots(T, D)
+    k = int(np.argmax(s1.real))
+    return MultimodeResult(k, _verdict(float(T[k]), float(D[k]), complex(s1[k]), complex(s2[k]),
+                                       _label_codes(T, D)[k]))
 
 
 # ---------------------------------------------------------------------------

@@ -174,7 +174,8 @@ def test_diffusion_factored_once_per_run(coarse, monkeypatch, kinetics, factoriz
     mesh, ops = coarse
     calls = []
     original = fem.splu
-    monkeypatch.setattr(fem, "splu", lambda A, **kw: calls.append(A.shape) or original(A, **kw))
+    monkeypatch.setattr(fem, "splu",
+                        lambda A, **kw: calls.append((A.shape, kw)) or original(A, **kw))
     cfg = RunConfig(DAMPED, mesh, dt=1e-3, t_end=0.01, threshold=0.0, kinetics=kinetics)
     rec = simulate(cfg, ops)
     assert rec.final.step == 10
@@ -183,13 +184,27 @@ def test_diffusion_factored_once_per_run(coarse, monkeypatch, kinetics, factoriz
     # two diffusion solves a step; three chord corrections a step
     assert rec.lu_solves == {"split": 20, "explicit": 20, "implicit": 30}[kinetics]
     n = len(mesh.vertices)
-    block = (2 * n, 2 * n) if kinetics == "implicit" else (n, n)
-    assert all(shape == block for shape in calls)
+    # the block Jacobian is ordered in symmetric mode; the diffusion factors
+    # keep splu's default COLAMD, whose solves feed criterion 12's digests
+    expected = (((2 * n, 2 * n), {"permc_spec": "MMD_AT_PLUS_A",
+                                  "options": {"SymmetricMode": True}})
+                if kinetics == "implicit" else ((n, n), {}))
+    assert all(call == expected for call in calls)
 
 
-def _newton_step(ops, params, dt, state):
+def _block_jacobian(A_u, A_v, M, a, u, v):
+    """The backward-Euler Jacobian assembled block by block."""
+    return bmat([[A_u - a * (M @ diags(2.0 * u * v - 1.0)), -a * (M @ diags(u * u))],
+                 [a * (M @ diags(2.0 * u * v)), A_v + a * (M @ diags(u * u))]], format="csc")
+
+
+def _mass(ops, lumped):
+    return diags(ops.lumped).tocsr() if lumped else ops.mass
+
+
+def _newton_step(ops, params, dt, state, M):
     """One backward-Euler step by full Newton, a fresh Jacobian per iteration."""
-    M, K = ops.mass, ops.stiffness
+    K = ops.stiffness
     a = dt * params.gamma
     A_u, A_v = M + dt * K, M + dt * params.d * K
     n = len(state.u)
@@ -198,32 +213,85 @@ def _newton_step(ops, params, dt, state):
         f, g = reaction_terms(params, u, v)
         F = np.concatenate([A_u @ u - M @ state.u - a * (M @ f),
                             A_v @ v - M @ state.v - a * (M @ g)])
-        J = bmat([[A_u - a * (M @ diags(2.0 * u * v - 1.0)), -a * (M @ diags(u * u))],
-                  [a * (M @ diags(2.0 * u * v)), A_v + a * (M @ diags(u * u))]], format="csc")
-        delta = spsolve(J, F)
+        delta = spsolve(_block_jacobian(A_u, A_v, M, a, u, v), F)
         u, v = u - delta[:n], v - delta[n:]
         if np.abs(delta).max() <= 1e-14 * max(np.abs(u).max(), np.abs(v).max()):
             return u, v
     raise AssertionError("reference Newton did not converge")
 
 
-@pytest.mark.parametrize("params", [TURING, DAMPED], ids=["turing", "damped"])
-def test_implicit_chord_matches_full_newton(coarse, params):
+@pytest.mark.parametrize("params, lumped", [
+    pytest.param(TURING, False, id="turing"),
+    pytest.param(DAMPED, False, id="damped"),
+    pytest.param(TURING, True, id="turing-lumped"),
+])
+def test_implicit_chord_matches_full_newton(coarse, params, lumped):
     # each chord step (extrapolated start, reused factor) against full Newton
     # from the same old state. The chord stops at a residual of 1e-11, which
     # on this mesh leaves about 1.5e-9 relative in the state; the bound is 1e-8.
     mesh, ops = coarse
     dt = 1e-3
-    stepper = fem._Stepper(ops, RunConfig(params, mesh, dt=dt, t_end=1.0, kinetics="implicit"))
+    stepper = fem._Stepper(ops, RunConfig(params, mesh, dt=dt, t_end=1.0, lumped=lumped,
+                                          kinetics="implicit"))
     state = initial_conditions(params, mesh)
     worst = 0.0
     for _ in range(200):
         new = stepper.step(state)
-        u, v = _newton_step(ops, params, dt, state)
+        u, v = _newton_step(ops, params, dt, state, _mass(ops, lumped))
         worst = max(worst, np.abs(new.u - u).max() / np.abs(u).max(),
                     np.abs(new.v - v).max() / np.abs(v).max())
         state = new
     assert worst < 1e-8
+
+
+def _factored_jacobian(monkeypatch, stepper, w):
+    """The matrix _factorize hands to splu at the stacked state w."""
+    factored = []
+    original = fem.splu
+    monkeypatch.setattr(fem, "splu", lambda A, **kw: factored.append(A) or original(A, **kw))
+    stepper._factorize(w)
+    return factored[0]
+
+
+@pytest.mark.parametrize("lumped", [False, True])
+def test_implicit_jacobian_equals_block_construction(coarse, monkeypatch, lumped):
+    # J = A2 - a M2 D on the stacked operators, entry for entry the
+    # four-block construction, at a state with no structure of its own
+    mesh, ops = coarse
+    dt, n = 1e-3, len(mesh.vertices)
+    stepper = fem._Stepper(ops, RunConfig(TURING, mesh, dt=dt, t_end=1.0, lumped=lumped,
+                                          kinetics="implicit"))
+    rng = np.random.default_rng(5)
+    u, v = rng.uniform(0.1, 3.0, n), rng.uniform(0.1, 3.0, n)
+    J = _factored_jacobian(monkeypatch, stepper, np.concatenate([u, v]))
+    M, K = _mass(ops, lumped), ops.stiffness
+    J_ref = _block_jacobian(M + dt * K, M + dt * TURING.d * K, M, dt * TURING.gamma, u, v)
+    assert J.shape == J_ref.shape == (2 * n, 2 * n)
+    assert J.nnz == J_ref.nnz
+    assert (J - J_ref).nnz == 0
+
+
+@pytest.mark.parametrize("lumped", [False, True])
+def test_implicit_factor_pivots_stiff_state(coarse, monkeypatch, lumped):
+    # a stiff iterate (dt gamma = 7.3, u up to 15) whose v makes every u-row
+    # diagonal of J vanish: the factor must still pivot off the diagonal. With
+    # diag_pivot_thresh=0 the lumped case's backward error is about 3e-3.
+    mesh, ops = coarse
+    params = KineticParams(0.05, 0.55, 730.0, 5.0)
+    dt, n = 1e-2, len(mesh.vertices)
+    stepper = fem._Stepper(ops, RunConfig(params, mesh, dt=dt, t_end=1.0, lumped=lumped,
+                                          kinetics="implicit"))
+    rng = np.random.default_rng(11)
+    u = rng.uniform(1.0, 15.0, n)
+    a = dt * params.gamma
+    v = (stepper.A_u.diagonal() / (a * stepper.M.diagonal()) + 1.0) / (2.0 * u)
+    J = _factored_jacobian(monkeypatch, stepper, np.concatenate([u, v]))
+    assert np.abs(J.diagonal()[:n]).max() < 1e-12 * np.abs(J).max()
+    r = rng.standard_normal(2 * n)
+    x = stepper._lu.solve(r)
+    norm_J = np.abs(J).sum(axis=1).max()
+    backward = np.abs(J @ x - r).max() / (norm_J * np.abs(x).max() + np.abs(r).max())
+    assert backward <= 1e-14
 
 
 def test_implicit_start_falls_back_to_old_state(coarse):
@@ -242,7 +310,7 @@ def test_implicit_start_falls_back_to_old_state(coarse):
     stepper._prev = FemState(np.full_like(s0.u, -1e300), s0.v, s0.t, s0.step)
     with np.errstate(over="ignore", invalid="ignore"):
         s2 = stepper.step(s1)
-    u, v = _newton_step(ops, DAMPED, dt, s1)
+    u, v = _newton_step(ops, DAMPED, dt, s1, ops.mass)
     assert np.abs(s2.u - u).max() < 1e-8 * np.abs(u).max()
     assert np.abs(s2.v - v).max() < 1e-8 * np.abs(v).max()
 

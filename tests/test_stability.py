@@ -270,11 +270,18 @@ def test_multimode_equals_per_mode_classify_point(params, form):
 
 
 def test_multimode_builds_one_verdict(monkeypatch):
-    built = []
-    original = stability._verdict
-    monkeypatch.setattr(stability, "_verdict", lambda *args: built.append(args) or original(*args))
+    # the selected mode's verdict is read off the 13-mode arrays: one roots
+    # and one sign-table call on those, one verdict built
+    calls = {"StabilityVerdict": 0, "roots": 0, "_label_codes": 0}
+    for name in calls:
+        original = getattr(stability, name)
+
+        def spy(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(stability, name, spy)
     classify_multimode(TURING, 1.3, 12, 0.5, 0.5)
-    assert len(built) == 1
+    assert calls == {"StabilityVerdict": 1, "roots": 1, "_label_codes": 1}
 
 
 def test_multimode_tie_selects_lowest_k(monkeypatch):
