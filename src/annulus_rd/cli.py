@@ -272,7 +272,7 @@ _SUBCOMMANDS = {
         ("dt", float, 1e-3, "time step"),
         ("t-end", float, 10.0, "final time"),
         ("threshold", float, 5e-4, "stop when both monitor rates drop below; 0 disables"),
-        ("kinetics", str, "split", "reaction treatment: split, implicit or explicit"),
+        ("kinetics", str, "split", "reaction treatment: split or implicit"),
         ("lumped", _flag, False, "lumped mass in the diffusion solve"),
         ("snapshots", _floats, (), "comma-separated snapshot times"),
     ), _cmd_simulate),

@@ -12,14 +12,8 @@ boundary terms appear in the weak form.
 
 Diffusion is always implicit (backward Euler, by LU factors of its constant
 matrices computed once per run, or inside the implicit Newton system); nodal
-kinetics (group finite elements) take one of three RunConfig.kinetics forms:
+kinetics (group finite elements) take one of two RunConfig.kinetics forms:
 
-    "explicit"  - kinetics frozen at the old state:
-                  (M + dt K) u+   = M u + dt gamma M f(u, v),
-                  (M + dt d K) v+ = M v + dt gamma M g(u, v).
-                  Cheapest, but the nodal v update is only stable while
-                  dt gamma u^2 < 2; the headline parameter sets violate
-                  that during transients and the run blows up.
     "split"     - Strang splitting: half-interval nodal kinetics by RK4
                   substeps, implicit diffusion, half-interval kinetics.
                   The substep count adapts to the local kinetics rate, so
@@ -34,10 +28,14 @@ kinetics (group finite elements) take one of three RunConfig.kinetics forms:
                   steady attractors are found even at coarse dt, but
                   genuine temporal oscillations are flattened; use for
                   pattern-formation runs, not for limit-cycle studies.
-                  It keeps one stacked state w = [u; v] and factors its
-                  Jacobian in SuperLU's symmetric mode (minimum degree on
-                  J + J^T, diagonal pivots preferred); the diffusion
-                  factors of "split" and "explicit" keep COLAMD.
+                  It factors its Jacobian in SuperLU's symmetric mode
+                  (minimum degree on J + J^T, diagonal pivots preferred);
+                  the diffusion factors of "split" keep COLAMD.
+
+Both work on one stacked state w = [u; v]. Kinetics frozen at the old state
+(forward Euler) is not offered: with the stiff activator kinetics it is
+stable only while dt gamma u^2 < 2, which the headline parameter sets
+violate during transients.
 
 An optional lumped-mass variant replaces M by the diagonal of row sums,
 which makes the diffusion step an M-matrix solve on a Delaunay mesh
@@ -58,7 +56,7 @@ from scipy.sparse import block_diag, bmat, coo_matrix, csr_matrix, diags
 from scipy.sparse.linalg import cg, splu  # noqa: F401
 
 from .geometry import TriMesh, triangle_areas
-from .stability import KineticParams, reaction_terms, steady_state
+from .stability import KineticParams, reaction_jacobian, reaction_terms, steady_state
 
 
 class FemError(RuntimeError):
@@ -176,19 +174,20 @@ class RunConfig:
         if not all(0.0 < t and _snapshot_step(t, self.dt) <= n for t in self.snapshot_times):
             raise FemError(f"snapshot times must lie in (0, n dt = {n * self.dt:g}], "
                            f"the end of the run's n = {n} steps, got {self.snapshot_times}")
-        if self.kinetics not in ("split", "implicit", "explicit"):
-            raise FemError(
-                f"kinetics must be 'split', 'implicit' or 'explicit', got {self.kinetics!r}")
+        if self.kinetics not in ("split", "implicit"):
+            raise FemError(f"kinetics must be 'split' or 'implicit', got {self.kinetics!r}")
 
 
 class _Stepper:
     """Caches per-run matrices and factorizations across steps.
 
-    All three kinetics treatments share the implicit-diffusion systems
-    A_u = M + dt K and A_v = M + dt d K, which "split" and "explicit"
-    LU-factor once, here.  The uniform steady state stays a fixed point:
-    the nodal kinetics vanish there and A 1 = M 1 (K 1 = 0), so the LU
-    solve returns it up to round-off (criterion 8 bounds the drift).
+    Both kinetics treatments work on the stacked state w = [u; v], with
+    F(w) = [f; g] the nodal reaction terms and M2 = diag(M, M), and share
+    the implicit-diffusion systems A_u = M + dt K and A_v = M + dt d K,
+    which "split" LU-factors once, here.  The uniform steady state stays a
+    fixed point: the nodal kinetics vanish there and A 1 = M 1 (K 1 = 0),
+    so the LU solve returns it up to round-off (criterion 8 bounds the
+    drift).
 
     "split" integrates the nodal ODE w' = gamma F(w) over each half
     interval with classical RK4, subdividing so that the local rate bound
@@ -197,9 +196,8 @@ class _Stepper:
     gamma ~ 7e2 are resolved by a few dozen substeps on the worst steps.
 
     "implicit" solves the full backward-Euler system with a chord Newton
-    iteration on the stacked state w = [u; v], with the block-diagonal
-    operators A2 = diag(A_u, A_v) and M2 = diag(M, M) built once per run:
-    its residual is A2 w - M2 w^n - dt gamma M2 F(w).  The block Jacobian
+    iteration, with A2 = diag(A_u, A_v) built once per run: its residual
+    is A2 w - M2 w^n - dt gamma M2 F(w).  The block Jacobian
     A2 - dt gamma M2 dF is structurally symmetric (each block carries the
     mesh graph), so splu orders it in symmetric mode (MMD on J + J^T),
     which on the desk mesh fills 28% less than COLAMD; partial pivoting
@@ -227,51 +225,52 @@ class _Stepper:
         self.M = M = diags(ops.lumped).tocsr() if config.lumped else ops.mass
         self.A_u = (M + dt * ops.stiffness).tocsr()
         self.A_v = (M + dt * d * ops.stiffness).tocsr()
+        self.M2 = block_diag((M, M), format="csr")
         self.factorizations = 0  # splu calls and factor solves over the run
         self.lu_solves = 0
         if config.kinetics == "implicit":
-            # operators on the stacked state w = [u; v]
             self.A2 = block_diag((self.A_u, self.A_v), format="csr")
-            self.M2 = block_diag((M, M), format="csr")
         else:
             self._lu_u, self._lu_v = splu(self.A_u.tocsc()), splu(self.A_v.tocsc())
             self.factorizations = 2
         self._lu = None
         self._prev = None  # the state the last implicit step started from
-        # plain functions, not bound methods: a bound method stored on self
-        # would be a reference cycle, keeping the factors alive until a gc pass
-        self._step = {"explicit": _Stepper._step_explicit, "split": _Stepper._step_split,
-                      "implicit": _Stepper._step_implicit}[config.kinetics]
 
     def step(self, state: FemState) -> FemState:
         """Advance one step with the configured kinetics treatment."""
-        return self._step(self, state)
+        dt = self.config.dt
+        w = np.concatenate([state.u, state.v])
+        if self.config.kinetics == "implicit":
+            w = self._backward_euler(w, state)
+        else:
+            w = self._kinetics_interval(w, 0.5 * dt, state.step)
+            w = self._diffuse(w, state.step)
+            w = self._kinetics_interval(w, 0.5 * dt, state.step)
+        n = len(state.u)
+        return FemState(w[:n], w[n:], state.t + dt, state.step + 1)
 
-    def _diffuse(self, u, v, step):
-        """Solve A_u u+ = M u and A_v v+ = M v with the cached factors."""
-        bu, bv = self.M @ u, self.M @ v
-        if not (np.all(np.isfinite(bu)) and np.all(np.isfinite(bv))):
+    def _F(self, w):
+        """The nodal reaction terms [f; g] at the stacked state w."""
+        n = len(w) // 2
+        return np.concatenate(reaction_terms(self.config.params, w[:n], w[n:]))
+
+    def _diffuse(self, w, step):
+        """Solve A_u u+ = M u and A_v v+ = M v, w = [u; v], with the cached factors."""
+        b = self.M2 @ w
+        if not np.all(np.isfinite(b)):
             raise FemError(f"non-finite right-hand side at step {step}")
+        n = len(w) // 2
         self.lu_solves += 2
-        return self._lu_u.solve(bu), self._lu_v.solve(bv)
-
-    # -- explicit reaction, implicit diffusion ------------------------------
-
-    def _step_explicit(self, state: FemState) -> FemState:
-        cfg = self.config
-        dt, gamma = cfg.dt, cfg.params.gamma
-        f, g = reaction_terms(cfg.params, state.u, state.v)
-        u, v = self._diffuse(state.u + dt * gamma * f, state.v + dt * gamma * g, state.step)
-        return FemState(u, v, state.t + dt, state.step + 1)
+        return np.concatenate([self._lu_u.solve(b[:n]), self._lu_v.solve(b[n:])])
 
     # -- Strang splitting ----------------------------------------------------
 
-    def _kinetics_interval(self, u, v, span, step):
+    def _kinetics_interval(self, w, span, step):
         """Integrate the nodal kinetics ODE over span with adaptive RK4."""
-        p = self.config.params
-        gamma = p.gamma
-        rate = np.maximum(np.abs(2.0 * u * v - 1.0) + u * u,
-                          2.0 * np.abs(u * v) + u * u)
+        gamma = self.config.params.gamma
+        n = len(w) // 2
+        fu, fv, gu, gv = reaction_jacobian(w[:n], w[n:])
+        rate = np.maximum(np.abs(fu) + np.abs(fv), np.abs(gu) + np.abs(gv))
         # compared as a float: a rate that overflowed to inf has no int count
         m = np.ceil(span * gamma * max(float(rate.max()), 1.0) / 0.5)
         if not m <= self._MAX_SUBSTEPS:
@@ -279,46 +278,30 @@ class _Stepper:
         m = max(int(m), 1)
         h = span / m
         for _ in range(m):
-            f1, g1 = reaction_terms(p, u, v)
-            u2 = u + 0.5 * h * gamma * f1
-            v2 = v + 0.5 * h * gamma * g1
-            f2, g2 = reaction_terms(p, u2, v2)
-            u3 = u + 0.5 * h * gamma * f2
-            v3 = v + 0.5 * h * gamma * g2
-            f3, g3 = reaction_terms(p, u3, v3)
-            u4 = u + h * gamma * f3
-            v4 = v + h * gamma * g3
-            f4, g4 = reaction_terms(p, u4, v4)
-            u = u + (h / 6.0) * gamma * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-            v = v + (h / 6.0) * gamma * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
-        return u, v
-
-    def _step_split(self, state: FemState) -> FemState:
-        dt = self.config.dt
-        u, v = self._kinetics_interval(state.u, state.v, 0.5 * dt, state.step)
-        u, v = self._diffuse(u, v, state.step)
-        u, v = self._kinetics_interval(u, v, 0.5 * dt, state.step)
-        return FemState(u, v, state.t + dt, state.step + 1)
+            k1 = self._F(w)
+            k2 = self._F(w + 0.5 * h * gamma * k1)
+            k3 = self._F(w + 0.5 * h * gamma * k2)
+            k4 = self._F(w + h * gamma * k3)
+            w = w + (h / 6.0) * gamma * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return w
 
     # -- backward Euler with chord Newton ------------------------------------
 
     def _factorize(self, w):
         n = len(w) // 2
-        u, v = w[:n], w[n:]
         a = self.config.dt * self.config.params.gamma
-        fu, fv, gu = 2.0 * u * v - 1.0, u * u, -2.0 * u * v
-        D = bmat([[diags(fu), diags(fv)], [diags(gu), diags(-fv)]])
+        fu, fv, gu, gv = reaction_jacobian(w[:n], w[n:])
+        D = bmat([[diags(fu), diags(fv)], [diags(gu), diags(gv)]])
         J = (self.A2 - a * (self.M2 @ D)).tocsc()
         # diag_pivot_thresh stays at its default 1.0: the pivots of stiff
         # states (large dt gamma u^2) are not safe to take from the diagonal
         self._lu = splu(J, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
         self.factorizations += 1
 
-    def _step_implicit(self, state: FemState) -> FemState:
+    def _backward_euler(self, w_old, state: FemState):
+        """Advance w_old = [u; v], the stacked state, by one backward-Euler step."""
         cfg = self.config
         dt, gamma = cfg.dt, cfg.params.gamma
-        n = len(state.u)
-        w_old = np.concatenate([state.u, state.v])
         b = self.M2 @ w_old
         tol = 1e-11 * max(1.0, float(np.abs(b).max()))
         prev, self._prev = self._prev, None
@@ -333,8 +316,7 @@ class _Stepper:
         res_prev = np.inf
         best = None
         for _ in range(self._NEWTON_MAXITER):
-            F = np.concatenate(reaction_terms(cfg.params, w[:n], w[n:]))
-            R = self.A2 @ w - b - dt * gamma * (self.M2 @ F)
+            R = self.A2 @ w - b - dt * gamma * (self.M2 @ self._F(w))
             res = float(np.abs(R).max())
             if not np.isfinite(res):
                 if predicted and corrections == 0:
@@ -356,7 +338,7 @@ class _Stepper:
             # a correction would leave the extrapolation error in the state
             if res < tol and corrections > 0:
                 self._prev = state
-                return FemState(w[:n], w[n:], state.t + dt, state.step + 1)
+                return w
             if best is None or res < best[1]:
                 best = (w, res)
             if uses >= 3 or res > 4.0 * res_prev:
@@ -408,9 +390,14 @@ def simulate(config: RunConfig, ops: FemOperators | None = None) -> RunRecord:
     threshold ('threshold'), otherwise runs to t_end ('t_end'). A blow-up
     aborts with the offending step in the error. Each snapshot is taken
     after the first step n whose time n dt reaches the requested time.
+    Operators assembled on a mesh of another size are refused.
     """
+    n = len(config.mesh.vertices)
     if ops is None:
         ops = assemble(config.mesh)
+    elif ops.mass.shape != (n, n):
+        raise FemError(f"operators of shape {ops.mass.shape} do not fit the run's "
+                       f"mesh of {n} vertices")
     stepper = _Stepper(ops, config)
     state = initial_conditions(config.params, config.mesh)
     record = RunRecord(config)
@@ -453,7 +440,9 @@ def monitor_peaks(record: RunRecord, species: str = "u", start_time: float = 2.0
     """
     from scipy.signal import find_peaks
 
-    col = {"u": 1, "v": 2}[species]
+    if species not in ("u", "v"):
+        raise FemError(f"species must be 'u' or 'v', got {species!r}")
+    col = 1 if species == "u" else 2
     t = record.monitor[:, 0]
     y = record.monitor[:, col]
     keep = t >= start_time

@@ -148,6 +148,9 @@ class WeightingProfile:
     def __post_init__(self):
         if not (self.a > 0.0 and self.rho > 0.0):
             raise SpectrumError(f"need a > 0 and rho > 0, got a={self.a}, rho={self.rho}")
+        for name in ("a", "rho", "l"):
+            if not np.isfinite(getattr(self, name)):
+                raise SpectrumError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 def weighting(profile: WeightingProfile) -> float:
@@ -183,8 +186,10 @@ def weighting_supremum(a: float, rho: float, branch: str) -> WeightingSupremum:
     """Quoted supremum of f over l < 0 or l > 0, with a numeric cross-check."""
     if branch not in _SUPREMUM:
         raise SpectrumError(f"branch must be 'negative-l' or 'positive-l', got {branch!r}")
+    # the profile validates a and rho before the printed value divides by them
+    profile = WeightingProfile(a, rho, -1e3 if branch == "negative-l" else 1e-6)
     printed = _SUPREMUM[branch] / (a * (rho + a))
-    numeric = weighting(WeightingProfile(a, rho, -1e3 if branch == "negative-l" else 1e-6))
+    numeric = weighting(profile)
     return WeightingSupremum(branch, printed, numeric, abs(printed - numeric))
 
 

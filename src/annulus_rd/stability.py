@@ -65,6 +65,16 @@ def reaction_terms(params: KineticParams, u, v):
     return params.alpha - u + uuv, params.beta - uuv
 
 
+def reaction_jacobian(u, v):
+    """Partial derivatives (f_u, f_v, g_u, g_v) of reaction_terms' (f, g).
+
+    They are (2uv - 1, u^2, -2uv, -u^2); alpha and beta drop out.
+    """
+    uv2 = 2.0 * u * v
+    uu = u * u
+    return uv2 - 1.0, uu, -uv2, -uu
+
+
 @dataclass(frozen=True)
 class SteadyState:
     """The positive uniform steady state."""
@@ -236,8 +246,8 @@ def classify_multimode(params: KineticParams, l: float, k_max: int, a: float,
     one expects to see first. Only its verdict is built; classify_point
     gives the verdict of any other mode.
     """
-    if k_max < 0:
-        raise StabilityError(f"k_max must be non-negative, got {k_max}")
+    if not (isinstance(k_max, (int, np.integer)) and k_max >= 0):
+        raise StabilityError(f"k_max must be a non-negative integer, got {k_max!r}")
     T, D = trace_det(params, _mode_eigenvalues(l, k_max, a, rho), form)
     s1, s2 = roots(T, D)
     k = int(np.argmax(s1.real))

@@ -131,6 +131,11 @@ def test_domain_errors(tmp_path):
     assert_exit(proc, 4)
     assert "E_DOMAIN:" in proc.stderr
 
+    # forward-Euler kinetics is no longer offered
+    proc = run_cli("simulate", "--kinetics", "explicit", "--h", "0.2", cwd=tmp_path)
+    assert_exit(proc, 4)
+    assert "E_DOMAIN:" in proc.stderr and "kinetics" in proc.stderr
+
     proc = run_cli("spectrum", "--l-start", "0.5", cwd=tmp_path)
     assert_exit(proc, 4)
     assert "E_DOMAIN:" in proc.stderr
@@ -187,12 +192,12 @@ def test_domain_errors(tmp_path):
     assert "E_DOMAIN:" in proc.stderr and "threads" in proc.stderr
 
 
-def test_runtime_error_on_explicit_blowup(tmp_path):
-    proc = run_cli("simulate", "--kinetics", "explicit", "--h", "0.15",
-                   "--dt", "1e-3", "--t-end", "2.0", "--threshold", "0",
-                   cwd=tmp_path)
+def test_runtime_error_on_diverging_kinetics(tmp_path):
+    # the first half step would need about 1.2e6 RK4 substeps
+    proc = run_cli("simulate", "--gamma", "1e6", "--dt", "0.5", "--t-end", "1",
+                   "--h", "0.15", "--threshold", "0", cwd=tmp_path)
     assert_exit(proc, 5)
-    assert "E_RUNTIME:" in proc.stderr
+    assert "E_RUNTIME:" in proc.stderr and "substep count" in proc.stderr
     assert "Warning" not in proc.stderr
 
 

@@ -113,8 +113,9 @@ def test_runconfig_validation(coarse):
     # t_end = 0.0104 rounds to 10 steps, so the run ends at t = 0.010
     with pytest.raises(FemError, match="snapshot"):
         RunConfig(TURING, mesh, dt=1e-3, t_end=0.0104, snapshot_times=(0.0102,))
-    with pytest.raises(FemError):
-        RunConfig(TURING, mesh, dt=1e-3, t_end=1.0, kinetics="semi")
+    for kinetics in ("semi", "explicit"):
+        with pytest.raises(FemError, match="'split' or 'implicit'"):
+            RunConfig(TURING, mesh, dt=1e-3, t_end=1.0, kinetics=kinetics)
     # t_end under half a step rounds to zero steps; a step count that
     # overflows is no better
     with pytest.raises(FemError, match="step count"):
@@ -124,7 +125,7 @@ def test_runconfig_validation(coarse):
     assert RunConfig(TURING, mesh, dt=1e-3, t_end=6e-4).t_end == 6e-4  # one step
 
 
-@pytest.mark.parametrize("kinetics", ["split", "implicit", "explicit"])
+@pytest.mark.parametrize("kinetics", ["split", "implicit"])
 def test_steady_state_is_fixed_point(coarse, kinetics):
     mesh, ops = coarse
     ss = steady_state(TURING)
@@ -139,9 +140,10 @@ def test_steady_state_is_fixed_point(coarse, kinetics):
     assert state.t == pytest.approx(3e-3, rel=1e-12)
 
 
-def test_explicit_step_matches_semidiscrete_rhs(coarse):
-    # one tiny explicit step reproduces du/dt = -M^-1 K u + gamma f(u, v);
-    # the azimuthal profile x/r satisfies the natural boundary condition
+@pytest.mark.parametrize("kinetics", ["split", "implicit"])
+def test_step_matches_semidiscrete_rhs(coarse, kinetics):
+    # one tiny step reproduces du/dt = -M^-1 K u + gamma f(u, v); the
+    # azimuthal profile x/r satisfies the natural boundary condition
     mesh, ops = coarse
     ss = steady_state(TURING)
     x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
@@ -149,8 +151,7 @@ def test_explicit_step_matches_semidiscrete_rhs(coarse):
     u0 = ss.u_s + prof
     v0 = ss.v_s + prof
     dt = 1e-6
-    cfg = RunConfig(TURING, mesh, dt=dt, t_end=1.0, threshold=0.0,
-                    kinetics="explicit")
+    cfg = RunConfig(TURING, mesh, dt=dt, t_end=1.0, threshold=0.0, kinetics=kinetics)
     state = fem._Stepper(ops, cfg).step(FemState(u0.copy(), v0.copy(), 0.0, 0))
 
     f0, g0 = reaction_terms(TURING, u0, v0)
@@ -167,7 +168,6 @@ def test_explicit_step_matches_semidiscrete_rhs(coarse):
 
 @pytest.mark.parametrize("kinetics, factorizations", [
     ("split", 2),      # A_u and A_v, once per run, not per step
-    ("explicit", 2),
     ("implicit", 1),   # only its block Jacobian, never refreshed in these 10 steps
 ])
 def test_diffusion_factored_once_per_run(coarse, monkeypatch, kinetics, factorizations):
@@ -182,7 +182,7 @@ def test_diffusion_factored_once_per_run(coarse, monkeypatch, kinetics, factoriz
     assert len(calls) == factorizations
     assert rec.factorizations == factorizations
     # two diffusion solves a step; three chord corrections a step
-    assert rec.lu_solves == {"split": 20, "explicit": 20, "implicit": 30}[kinetics]
+    assert rec.lu_solves == {"split": 20, "implicit": 30}[kinetics]
     n = len(mesh.vertices)
     # the block Jacobian is ordered in symmetric mode; the diffusion factors
     # keep splu's default COLAMD, whose solves feed criterion 12's digests
@@ -193,7 +193,11 @@ def test_diffusion_factored_once_per_run(coarse, monkeypatch, kinetics, factoriz
 
 
 def _block_jacobian(A_u, A_v, M, a, u, v):
-    """The backward-Euler Jacobian assembled block by block."""
+    """The backward-Euler Jacobian assembled block by block.
+
+    The derivatives of f and g are written out here, independently of
+    stability.reaction_jacobian, which the solver's Jacobian uses.
+    """
     return bmat([[A_u - a * (M @ diags(2.0 * u * v - 1.0)), -a * (M @ diags(u * u))],
                  [a * (M @ diags(2.0 * u * v)), A_v + a * (M @ diags(u * u))]], format="csc")
 
@@ -336,7 +340,9 @@ def test_split_diffusion_solve_matches_spsolve(coarse, lumped):
     u0, v0 = rng.uniform(-1.0, 1.0, (2, len(mesh.vertices)))
     dt = 1e-3
     cfg = RunConfig(TURING, mesh, dt=dt, t_end=1.0, lumped=lumped)
-    u, v = fem._Stepper(ops, cfg)._diffuse(u0, v0, 0)
+    n = len(u0)
+    w = fem._Stepper(ops, cfg)._diffuse(np.concatenate([u0, v0]), 0)
+    u, v = w[:n], w[n:]
     M = diags(ops.lumped) if lumped else ops.mass
     for got, c, old in ((u, 1.0, u0), (v, TURING.d, v0)):
         ref = spsolve((M + dt * c * ops.stiffness).tocsc(), M @ old)
@@ -403,14 +409,17 @@ def test_lumped_diffusion_max_principle(coarse):
     spike[len(spike) // 2] = 1.0
     lumped, consistent = (fem._Stepper(ops, RunConfig(TURING, mesh, dt=1e-3, t_end=1.0,
                                                       lumped=flag)) for flag in (True, False))
-    for w in (rng.uniform(-1.0, 2.0, len(mesh.vertices)), spike):
-        for out in lumped._diffuse(w, w, 0):
+    n = len(spike)
+    for w in (rng.uniform(-1.0, 2.0, n), spike):
+        out_l, out_c = (stepper._diffuse(np.concatenate([w, w]), 0)
+                        for stepper in (lumped, consistent))
+        for out in (out_l[:n], out_l[n:]):
             assert out.min() >= w.min() - 1e-12
             assert out.max() <= w.max() + 1e-12
             # both mass forms conserve the discrete integral
             assert (ops.lumped * out).sum() == pytest.approx((ops.lumped * w).sum(), rel=1e-8)
-        for out_c in consistent._diffuse(w, w, 0):
-            assert (ops.mass @ out_c).sum() == pytest.approx((ops.mass @ w).sum(), rel=1e-8)
+        for out in (out_c[:n], out_c[n:]):
+            assert (ops.mass @ out).sum() == pytest.approx((ops.mass @ w).sum(), rel=1e-8)
 
 
 def test_simulate_runs_to_t_end(coarse):
@@ -437,15 +446,23 @@ def test_simulate_stable_point_stops_on_threshold(medium):
 
 
 @pytest.mark.filterwarnings("error")
-def test_explicit_kinetics_blows_up(medium):
-    # the stiff activator kinetics overwhelm a plain explicit treatment
-    # at the pattern-forming parameters; the run must abort, not limp on,
-    # and report the blow-up by its FemError alone, without numpy warnings
+def test_diverging_split_run_aborts(medium):
+    # at gamma = 1e6 and dt = 0.5 the first half step would need about 1.2e6
+    # RK4 substeps; the run must abort, not limp on, and report it by its
+    # FemError alone, without numpy warnings
     mesh, ops = medium
-    cfg = RunConfig(TURING, mesh, dt=1e-3, t_end=2.0, threshold=0.0,
-                    kinetics="explicit")
-    with pytest.raises(FemError, match="at step"):
+    params = KineticParams(TURING.alpha, TURING.beta, 1e6, TURING.d)
+    cfg = RunConfig(params, mesh, dt=0.5, t_end=1.0, threshold=0.0, kinetics="split")
+    with pytest.raises(FemError, match="substep count .* at step 0; state diverging"):
         simulate(cfg, ops)
+
+
+def test_simulate_refuses_operators_of_another_mesh(coarse, medium):
+    # the first sparse product failed with scipy's dimension-mismatch ValueError
+    mesh, _ = coarse
+    _, other_ops = medium
+    with pytest.raises(FemError, match="do not fit"):
+        simulate(RunConfig(TURING, mesh, dt=1e-3, t_end=0.01), other_ops)
 
 
 @pytest.mark.parametrize("u", [1e3, 1e160])
@@ -454,9 +471,9 @@ def test_split_kinetics_substep_guard(coarse, u):
     # from the int substep count; both sizes are refused as diverging
     mesh, ops = coarse
     stepper = fem._Stepper(ops, RunConfig(TURING, mesh, dt=1e-3, t_end=1.0, kinetics="split"))
-    state = np.full(len(mesh.vertices), u)
+    w = np.full(2 * len(mesh.vertices), u)
     with np.errstate(over="ignore"), pytest.raises(FemError, match="at step 7; state diverging"):
-        stepper._kinetics_interval(state, state, 5e-4, 7)
+        stepper._kinetics_interval(w, 5e-4, 7)
 
 
 def _synthetic_record(coarse_mesh):
@@ -480,6 +497,9 @@ def test_monitor_peaks(coarse):
 
     short = RunRecord(rec.config, monitor=rec.monitor[:100])
     assert monitor_peaks(short).shape == (0,)
+    # an unknown species raised a bare KeyError
+    with pytest.raises(FemError, match="'u' or 'v'"):
+        monitor_peaks(rec, species="w")
 
 
 def test_monitor_export_deterministic(tmp_path, coarse):

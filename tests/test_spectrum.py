@@ -107,6 +107,15 @@ def test_weighting_exact_values():
         WeightingProfile(0.5, -0.1, 1.0)
 
 
+@pytest.mark.parametrize("name", ["a", "rho", "l"])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_weighting_profile_refuses_non_finite(name, value):
+    # a = inf gave a weighting of 0.0 and l = nan gave nan
+    args = {"a": 0.5, "rho": 0.5, "l": 1.0, name: value}
+    with pytest.raises(SpectrumError):
+        WeightingProfile(**args)
+
+
 def test_weighting_decreasing_in_thickness():
     for l in (0.3, 1.3, 2.7):
         for rho in (0.2, 1.0):
@@ -131,6 +140,10 @@ def test_weighting_supremum_branches():
 
     with pytest.raises(SpectrumError):
         weighting_supremum(0.5, 0.5, "sideways")
+    # a = 0 divided by zero before the geometry was checked
+    for branch in ("positive-l", "negative-l"):
+        with pytest.raises(SpectrumError, match="a > 0"):
+            weighting_supremum(0.0, 0.5, branch)
 
 
 # R = R1 + R2 = 2^l G(l+1) J_l(x) + 2^-l G(1-l) J_-l(x) at 50 digits, printed

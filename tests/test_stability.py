@@ -17,6 +17,7 @@ from annulus_rd.stability import (
     classify_point,
     hopf_admissibility,
     negative_l_bound,
+    reaction_jacobian,
     reaction_terms,
     repeated_root_thresholds,
     roots,
@@ -63,6 +64,22 @@ def test_steady_state_kills_kinetics(alpha, beta):
     scale = max(1.0, alpha, beta)
     assert abs(f) < 1e-12 * scale
     assert abs(g) < 1e-12 * scale
+
+
+def test_reaction_jacobian_matches_central_differences():
+    # f and g are quadratic in u and linear in v, so a central difference is
+    # exact up to round-off, about 1e-16 |f| / step
+    rng = np.random.default_rng(20261019)
+    u, v = rng.uniform(-3.0, 15.0, (2, 200))
+    step = 1e-5
+    jac = reaction_jacobian(u, v)
+    for p in (TURING, HOPF):
+        for which, (du, dv) in enumerate(((step, 0.0), (0.0, step))):
+            plus, minus = reaction_terms(p, u + du, v + dv), reaction_terms(p, u - du, v - dv)
+            for species in (0, 1):
+                diff = (plus[species] - minus[species]) / (2.0 * step)
+                exact = jac[2 * species + which]
+                assert np.abs(diff - exact).max() <= 1e-7 * max(1.0, np.abs(exact).max())
 
 
 def test_trace_det_hand_values():
@@ -251,6 +268,9 @@ def test_multimode_selection():
 
     with pytest.raises(StabilityError):
         classify_multimode(TURING, 1.3, -1, 0.5, 0.5)
+    # a fractional mode count raised range()'s TypeError
+    with pytest.raises(StabilityError, match="integer"):
+        classify_multimode(TURING, 1.3, 2.5, 0.5, 0.5)
 
 
 _SCAN = np.random.default_rng(20261018).uniform(0.02, 0.98, size=(2, 2))
