@@ -340,9 +340,7 @@ def test_split_diffusion_solve_matches_spsolve(coarse, lumped):
     u0, v0 = rng.uniform(-1.0, 1.0, (2, len(mesh.vertices)))
     dt = 1e-3
     cfg = RunConfig(TURING, mesh, dt=dt, t_end=1.0, lumped=lumped)
-    n = len(u0)
-    w = fem._Stepper(ops, cfg)._diffuse(np.concatenate([u0, v0]), 0)
-    u, v = w[:n], w[n:]
+    u, v = np.split(fem._Stepper(ops, cfg)._diffuse(np.concatenate([u0, v0]), 0), 2)
     M = diags(ops.lumped) if lumped else ops.mass
     for got, c, old in ((u, 1.0, u0), (v, TURING.d, v0)):
         ref = spsolve((M + dt * c * ops.stiffness).tocsc(), M @ old)
@@ -409,17 +407,14 @@ def test_lumped_diffusion_max_principle(coarse):
     spike[len(spike) // 2] = 1.0
     lumped, consistent = (fem._Stepper(ops, RunConfig(TURING, mesh, dt=1e-3, t_end=1.0,
                                                       lumped=flag)) for flag in (True, False))
-    n = len(spike)
-    for w in (rng.uniform(-1.0, 2.0, n), spike):
-        out_l, out_c = (stepper._diffuse(np.concatenate([w, w]), 0)
-                        for stepper in (lumped, consistent))
-        for out in (out_l[:n], out_l[n:]):
+    for w in (rng.uniform(-1.0, 2.0, len(mesh.vertices)), spike):
+        for out in np.split(lumped._diffuse(np.concatenate([w, w]), 0), 2):
             assert out.min() >= w.min() - 1e-12
             assert out.max() <= w.max() + 1e-12
             # both mass forms conserve the discrete integral
             assert (ops.lumped * out).sum() == pytest.approx((ops.lumped * w).sum(), rel=1e-8)
-        for out in (out_c[:n], out_c[n:]):
-            assert (ops.mass @ out).sum() == pytest.approx((ops.mass @ w).sum(), rel=1e-8)
+        for out_c in np.split(consistent._diffuse(np.concatenate([w, w]), 0), 2):
+            assert (ops.mass @ out_c).sum() == pytest.approx((ops.mass @ w).sum(), rel=1e-8)
 
 
 def test_simulate_runs_to_t_end(coarse):
