@@ -1,4 +1,4 @@
-"""Shared plumbing: digests, run manifests, deterministic RNG gate."""
+"""Shared plumbing: digests, run manifests, deterministic RNG gate, size limit."""
 
 from __future__ import annotations
 
@@ -9,6 +9,12 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+
+# The most array entries one input may ask for: sweep cells, spectrum table
+# entries, curve samples, seed-lattice points. Past it a typo would allocate
+# tens of GB; a sweep of 2000 x 2000 cells is the largest timed.
+SIZE_LIMIT = 4_000_000
+
 
 def rng(seed) -> np.random.Generator:
     """Central RNG constructor; the seed is required, so no draw is unseeded."""

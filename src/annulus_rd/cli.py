@@ -21,7 +21,10 @@ resolved configuration, package version, output digests and wall time.
 
 Errors print a single machine-parsable line `E_<KIND>: message` on stderr
 and exit with the kind's code: usage 2, config 3, domain 4, runtime 5,
-io 6. A verify run whose criteria are not all green exits 1.
+io 6. A verify run whose criteria are not all green exits 1. The library
+raises every refusal of an input as a ValueError and every failed
+computation as a RuntimeError, so main() alone maps them to domain and
+runtime.
 """
 
 from __future__ import annotations
@@ -31,13 +34,12 @@ import configparser
 import os
 import sys
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, fem, geometry, partition, spectrum, stability, verify
-from ._util import append_manifest, write_text
+from ._util import SIZE_LIMIT, append_manifest, write_text
 
 EXIT_USAGE = 2
 EXIT_CONFIG = 3
@@ -58,15 +60,6 @@ class CliError(Exception):
 def _usage_error(msg): return CliError("E_USAGE", EXIT_USAGE, msg)
 def _config_error(msg): return CliError("E_CONFIG", EXIT_CONFIG, msg)
 def _domain_error(msg): return CliError("E_DOMAIN", EXIT_DOMAIN, msg)
-
-
-@contextmanager
-def _domain():
-    """Construction-time validation failures are domain errors, not runtime."""
-    try:
-        yield
-    except (ValueError, fem.FemError, partition.PartitionError) as exc:
-        raise _domain_error(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -102,14 +95,16 @@ def _parse_value(raw: str, parse, flag: str):
 # ---------------------------------------------------------------------------
 
 def _cmd_spectrum(opt, out_dir):
-    with _domain():
-        geom = geometry.make_annulus(opt["a"], opt["b"])
-        if opt["k_min"] > opt["k_max"]:
-            raise ValueError(f"k-min {opt['k_min']} exceeds k-max {opt['k_max']}")
-        if opt["l_count"] < 1:
-            raise ValueError(f"l-count must be positive, got {opt['l_count']}")
-        ls = opt["l_start"] + opt["l_step"] * np.arange(opt["l_count"])
-        table = spectrum.spectrum_table(range(opt["k_min"], opt["k_max"] + 1), ls, geom)
+    geom = geometry.make_annulus(opt["a"], opt["b"])
+    if opt["k_min"] > opt["k_max"]:
+        raise ValueError(f"k-min {opt['k_min']} exceeds k-max {opt['k_max']}")
+    if opt["l_count"] < 1:
+        raise ValueError(f"l-count must be positive, got {opt['l_count']}")
+    n_k = opt["k_max"] - opt["k_min"] + 1
+    if n_k * opt["l_count"] > SIZE_LIMIT:
+        raise ValueError(f"table of {n_k}x{opt['l_count']} eigenvalues exceeds the limit {SIZE_LIMIT:,}")
+    ls = opt["l_start"] + opt["l_step"] * np.arange(opt["l_count"])
+    table = spectrum.spectrum_table(range(opt["k_min"], opt["k_max"] + 1), ls, geom)
     path = out_dir / "spectrum.csv"
     spectrum.export_spectrum_csv(table, path)
     return [path], (f"{table.eta.shape[0]}x{table.eta.shape[1]} eigenvalues, "
@@ -117,25 +112,23 @@ def _cmd_spectrum(opt, out_dir):
 
 
 def _cmd_eigenmode(opt, out_dir):
-    with _domain():
-        geom = geometry.make_annulus(opt["a"], opt["b"])
-        mode = spectrum.ModeIndex(opt["k"], opt["l"])
-        series = spectrum.build_series(mode)
-        eta = float(np.sqrt(spectrum.eigenvalue(mode, geom)))
-        grid = geometry.build_polar_grid(geom, N=95, M=90)
+    geom = geometry.make_annulus(opt["a"], opt["b"])
+    mode = spectrum.ModeIndex(opt["k"], opt["l"])
+    series = spectrum.build_series(mode)
+    eta = float(np.sqrt(spectrum.eigenvalue(mode, geom)))
+    grid = geometry.build_polar_grid(geom, N=95, M=90)
     path = out_dir / f"mode_k{opt['k']}_l{opt['l']:g}.ppm"
     spectrum.render_phase_plot(series, eta, grid, path, resolution=opt["resolution"])
     return [path], f"eta = {eta:.4f}, rendered {opt['resolution']}px phase plot", True
 
 
 def _make_sweep_spec(opt, n_alpha, n_beta):
-    with _domain():
-        return partition.SweepSpec(
-            alpha_min=opt["alpha_min"], alpha_max=opt["alpha_max"],
-            beta_min=opt["beta_min"], beta_max=opt["beta_max"],
-            n_alpha=n_alpha, n_beta=n_beta, gamma=opt["gamma"], d=opt["d"],
-            mode=spectrum.ModeIndex(opt["k"], opt["l"]),
-            geom=geometry.make_annulus(opt["a"], opt["b"]), form=opt["form"])
+    return partition.SweepSpec(
+        alpha_min=opt["alpha_min"], alpha_max=opt["alpha_max"],
+        beta_min=opt["beta_min"], beta_max=opt["beta_max"],
+        n_alpha=n_alpha, n_beta=n_beta, gamma=opt["gamma"], d=opt["d"],
+        mode=spectrum.ModeIndex(opt["k"], opt["l"]),
+        geom=geometry.make_annulus(opt["a"], opt["b"]), form=opt["form"])
 
 
 def _cmd_classify(opt, out_dir):
@@ -149,10 +142,11 @@ def _cmd_classify(opt, out_dir):
 
 def _cmd_curves(opt, out_dir):
     spec = _make_sweep_spec(opt, n_alpha=2, n_beta=2)
-    with _domain():
-        if opt["n_samples"] < 1:
-            raise ValueError(f"n-samples must be positive, got {opt['n_samples']}")
-        alphas = np.linspace(opt["alpha_min"], opt["alpha_max"], opt["n_samples"])
+    if opt["n_samples"] < 1:
+        raise ValueError(f"n-samples must be positive, got {opt['n_samples']}")
+    if opt["n_samples"] > SIZE_LIMIT:
+        raise ValueError(f"n-samples {opt['n_samples']} exceeds the limit {SIZE_LIMIT:,}")
+    alphas = np.linspace(opt["alpha_min"], opt["alpha_max"], opt["n_samples"])
     curves = partition.build_curves(spec, alphas)
     path = out_dir / "curves.csv"
     partition.export_curves(curves, path)
@@ -161,21 +155,26 @@ def _cmd_curves(opt, out_dir):
 
 
 def _cmd_simulate(opt, out_dir):
-    with _domain():
-        params = stability.KineticParams(alpha=opt["alpha"], beta=opt["beta"],
-                                         gamma=opt["gamma"], d=opt["d"])
-        geom = geometry.make_annulus(opt["a"], opt["b"])
-        mesh = geometry.triangulate_annulus(geom, opt["h"])
-        config = fem.RunConfig(params=params, mesh=mesh, dt=opt["dt"],
-                               t_end=opt["t_end"], threshold=opt["threshold"],
-                               snapshot_times=tuple(opt["snapshots"]),
-                               lumped=opt["lumped"], kinetics=opt["kinetics"])
+    params = stability.KineticParams(alpha=opt["alpha"], beta=opt["beta"],
+                                     gamma=opt["gamma"], d=opt["d"])
+    geom = geometry.make_annulus(opt["a"], opt["b"])
+    mesh = geometry.triangulate_annulus(geom, opt["h"])
+    config = fem.RunConfig(params=params, mesh=mesh, dt=opt["dt"],
+                           t_end=opt["t_end"], threshold=opt["threshold"],
+                           snapshot_times=tuple(opt["snapshots"]),
+                           lumped=opt["lumped"], kinetics=opt["kinetics"])
+    # a snapshot's file is named by its time's %g form; a shared name would
+    # leave one file holding whichever state was written last
+    names = {t: f"snapshot_t{t:g}.txt" for t in config.snapshot_times}
+    if len(set(names.values())) < len(config.snapshot_times):
+        raise ValueError(f"snapshot times {config.snapshot_times} do not all have distinct "
+                         f"%g forms, which name their files")
     record = fem.simulate(config)
     paths = [out_dir / "monitor.csv", out_dir / "final.txt"]
     fem.export_monitor(record, paths[0])
     fem.export_snapshot(mesh, record.final, paths[1])
     for t_snap, state in record.snapshots:
-        p = out_dir / f"snapshot_t{t_snap:g}.txt"
+        p = out_dir / names[t_snap]
         fem.export_snapshot(mesh, state, p)
         paths.append(p)
     contrast = float(record.final.u.max() - record.final.u.min())
@@ -184,9 +183,8 @@ def _cmd_simulate(opt, out_dir):
 
 
 def _cmd_mesh(opt, out_dir):
-    with _domain():
-        geom = geometry.make_annulus(opt["a"], opt["b"])
-        mesh = geometry.triangulate_annulus(geom, opt["h"])
+    geom = geometry.make_annulus(opt["a"], opt["b"])
+    mesh = geometry.triangulate_annulus(geom, opt["h"])
     paths = [out_dir / "mesh.node", out_dir / "mesh.ele"]
     geometry.export_mesh(mesh, *paths)
     quality = float(geometry.triangle_quality(mesh.vertices, mesh.triangles).min())

@@ -63,6 +63,10 @@ class FemError(RuntimeError):
     """Assembly or time-integration failure."""
 
 
+class FemInputError(FemError, ValueError):
+    """An argument the solver refuses; a ValueError, unlike a failed run."""
+
+
 @dataclass(frozen=True)
 class FemOperators:
     """Assembled P1 operators on one mesh."""
@@ -116,7 +120,7 @@ class FemState:
 
     def __post_init__(self):
         if len(self.u) != len(self.v):
-            raise FemError(f"u and v lengths differ: {len(self.u)} vs {len(self.v)}")
+            raise FemInputError(f"u and v lengths differ: {len(self.u)} vs {len(self.v)}")
 
 
 def initial_conditions(params: KineticParams, mesh: TriMesh) -> FemState:
@@ -161,21 +165,21 @@ class RunConfig:
 
     def __post_init__(self):
         if not (self.dt > 0.0):
-            raise FemError(f"dt must be positive, got {self.dt}")
+            raise FemInputError(f"dt must be positive, got {self.dt}")
         if not (self.threshold >= 0.0):
-            raise FemError(f"threshold must be non-negative, got {self.threshold}")
+            raise FemInputError(f"threshold must be non-negative, got {self.threshold}")
         if not (self.t_end > 0.0):
-            raise FemError(f"t_end must be positive, got {self.t_end}")
+            raise FemInputError(f"t_end must be positive, got {self.t_end}")
         if not (0.5 < self.t_end / self.dt < np.inf):
-            raise FemError(f"t_end/dt = {self.t_end / self.dt:g} rounds to no finite step count >= 1")
+            raise FemInputError(f"t_end/dt = {self.t_end / self.dt:g} rounds to no finite step count >= 1")
         # the run ends after n = round(t_end/dt) steps: a later time is never
         # reached, an earlier one than t = 0 would be taken at step 1
         n = round(self.t_end / self.dt)
         if not all(0.0 < t and _snapshot_step(t, self.dt) <= n for t in self.snapshot_times):
-            raise FemError(f"snapshot times must lie in (0, n dt = {n * self.dt:g}], "
-                           f"the end of the run's n = {n} steps, got {self.snapshot_times}")
+            raise FemInputError(f"snapshot times must lie in (0, n dt = {n * self.dt:g}], "
+                                f"the end of the run's n = {n} steps, got {self.snapshot_times}")
         if self.kinetics not in ("split", "implicit"):
-            raise FemError(f"kinetics must be 'split' or 'implicit', got {self.kinetics!r}")
+            raise FemInputError(f"kinetics must be 'split' or 'implicit', got {self.kinetics!r}")
 
 
 class _Stepper:
@@ -362,7 +366,7 @@ def l2_time_derivative(prev: FemState, next_state: FemState, dt: float,
                        ops: FemOperators) -> tuple[float, float]:
     """Mass-weighted time-derivative norms sqrt(delta^T M delta)/dt."""
     if not (dt > 0.0):
-        raise FemError(f"dt must be positive, got {dt}")
+        raise FemInputError(f"dt must be positive, got {dt}")
     du = next_state.u - prev.u
     dv = next_state.v - prev.v
     rate_u = float(np.sqrt(du @ (ops.mass @ du))) / dt
@@ -396,8 +400,8 @@ def simulate(config: RunConfig, ops: FemOperators | None = None) -> RunRecord:
     if ops is None:
         ops = assemble(config.mesh)
     elif ops.mass.shape != (n, n):
-        raise FemError(f"operators of shape {ops.mass.shape} do not fit the run's "
-                       f"mesh of {n} vertices")
+        raise FemInputError(f"operators of shape {ops.mass.shape} do not fit the run's "
+                            f"mesh of {n} vertices")
     stepper = _Stepper(ops, config)
     state = initial_conditions(config.params, config.mesh)
     record = RunRecord(config)
@@ -441,7 +445,7 @@ def monitor_peaks(record: RunRecord, species: str = "u", start_time: float = 2.0
     from scipy.signal import find_peaks
 
     if species not in ("u", "v"):
-        raise FemError(f"species must be 'u' or 'v', got {species!r}")
+        raise FemInputError(f"species must be 'u' or 'v', got {species!r}")
     col = 1 if species == "u" else 2
     t = record.monitor[:, 0]
     y = record.monitor[:, col]

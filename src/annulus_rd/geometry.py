@@ -26,6 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import Delaunay
 
+from ._util import SIZE_LIMIT
+
 
 # Calibrated target edge lengths for the reference annulus (a, b) = (1/2, 1).
 # PAPER_FIDELITY_H reproduces the reference discretisation of 6340 triangles
@@ -141,6 +143,13 @@ def _signed_distance(p: np.ndarray, a: float, b: float) -> np.ndarray:
     return np.maximum(r - b, a - r)
 
 
+def _lattice_size(b: float, h: float) -> float:
+    """Point count of _hex_lattice(b, h), from its aranges' lengths, unbuilt."""
+    dy = h * np.sqrt(3.0) / 2.0
+    return (np.ceil((b + h + 0.5 * h - (-b - h)) / h)
+            * np.ceil((b + h + 0.5 * dy - (-b - h)) / dy))
+
+
 def _hex_lattice(b: float, h: float) -> np.ndarray:
     """Deterministic hexagonal seed lattice covering the bounding box."""
     dy = h * np.sqrt(3.0) / 2.0
@@ -211,12 +220,17 @@ def triangulate_annulus(geom: AnnulusGeometry, h: float) -> TriMesh:
     drifted more than _TTOL*h since the last triangulation, and the
     iteration terminates when no interior point moves more than _DPTOL*h in
     one step. A cap of _MAX_ITER iterations guards against stagnation; on
-    failure the last iterate's statistics are attached to the error.
+    failure the last iterate's statistics are attached to the error. An h
+    whose seed lattice would hold more than SIZE_LIMIT points is refused
+    before the lattice is built.
     """
     a, b = geom.a, geom.b
     h = float(h)
     if not (0.0 < h < geom.rho):
         raise GeometryError(f"target edge length must lie in (0, rho), got h={h}")
+    if _lattice_size(b, h) > SIZE_LIMIT:
+        raise GeometryError(f"target edge length h={h} seeds {_lattice_size(b, h):.3g} "
+                            f"lattice points, over the limit {SIZE_LIMIT:,}")
     geps = 1e-3 * h
 
     p = _hex_lattice(b, h)

@@ -25,28 +25,35 @@ the sweep cell for cell.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
+from ._util import SIZE_LIMIT
 from .geometry import AnnulusGeometry
 from .spectrum import ModeIndex, eigenvalue
-from .stability import CODE_LABELS, FORMS, LABEL_CODES, _label_codes, _trace_det
+from .stability import (CODE_LABELS, FORMS, LABEL_CODES, _det_diffusivity, _label_codes,
+                        _trace_det)
 
 
 class PartitionError(RuntimeError):
     """Sweep or curve extraction failed its internal cross-checks."""
 
 
+class PartitionInputError(PartitionError, ValueError):
+    """A sweep, sample or region file the partition refuses; a ValueError."""
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A rectangular (alpha, beta) sweep at fixed (gamma, d, mode, geometry).
 
-    Grid nodes are linspace(min, max, n) inclusive of both ends; window
-    minima must be strictly positive (the kinetics are only defined there)
-    and every bound finite.
+    Grid nodes are linspace(min, max, n) inclusive of both ends, for
+    integer counts n of at least 2; window minima must be strictly
+    positive (the kinetics are only defined there) and every bound finite.
     """
 
     alpha_min: float
@@ -63,17 +70,19 @@ class SweepSpec:
 
     def __post_init__(self):
         if not (0.0 < self.alpha_min < self.alpha_max < np.inf):
-            raise PartitionError(f"need 0 < alpha_min < alpha_max < inf, got [{self.alpha_min}, {self.alpha_max}]")
+            raise PartitionInputError(f"need 0 < alpha_min < alpha_max < inf, got [{self.alpha_min}, {self.alpha_max}]")
         if not (0.0 < self.beta_min < self.beta_max < np.inf):
-            raise PartitionError(f"need 0 < beta_min < beta_max < inf, got [{self.beta_min}, {self.beta_max}]")
+            raise PartitionInputError(f"need 0 < beta_min < beta_max < inf, got [{self.beta_min}, {self.beta_max}]")
+        if not all(isinstance(n, (int, np.integer)) for n in (self.n_alpha, self.n_beta)):
+            raise PartitionInputError(f"grid counts must be integers, got {self.n_alpha!r}x{self.n_beta!r}")
         if self.n_alpha < 2 or self.n_beta < 2:
-            raise PartitionError(f"grid counts must be at least 2, got {self.n_alpha}x{self.n_beta}")
-        if self.n_alpha * self.n_beta > 4_000_000:
-            raise PartitionError(f"grid of {self.n_alpha}x{self.n_beta} cells exceeds the limit 4,000,000")
+            raise PartitionInputError(f"grid counts must be at least 2, got {self.n_alpha}x{self.n_beta}")
+        if self.n_alpha * self.n_beta > SIZE_LIMIT:
+            raise PartitionInputError(f"grid of {self.n_alpha}x{self.n_beta} cells exceeds the limit {SIZE_LIMIT:,}")
         if not (0.0 < self.gamma < np.inf and 0.0 < self.d < np.inf):
-            raise PartitionError(f"gamma and d must be positive and finite, got {self.gamma}, {self.d}")
+            raise PartitionInputError(f"gamma and d must be positive and finite, got {self.gamma}, {self.d}")
         if self.form not in FORMS:
-            raise PartitionError(f"form must be one of {FORMS}, got {self.form!r}")
+            raise PartitionInputError(f"form must be one of {FORMS}, got {self.form!r}")
 
     @property
     def alphas(self) -> np.ndarray:
@@ -104,6 +113,7 @@ class RegionMap:
 def sweep_classify(spec: SweepSpec, threads: int = 1) -> RegionMap:
     """Classify every grid cell; optionally share rows across worker threads.
 
+    At most one worker runs per row and per core, whatever threads asks.
     Results are gathered by row index, so the map is identical for any
     thread count.
     """
@@ -115,8 +125,9 @@ def sweep_classify(spec: SweepSpec, threads: int = 1) -> RegionMap:
         B = betas[j0:j1, None]
         return _label_codes(*_trace_det(A, B, spec.gamma, spec.d, eta_sq, spec.form))
 
-    # a worker past one per row would only get an empty chunk
-    threads = min(threads, spec.n_beta)
+    # a worker past one per row would only get an empty chunk, and one past
+    # one per core would only wait for a core
+    threads = min(threads, spec.n_beta, os.cpu_count() or 1)
     if threads <= 1:
         labels = rows(0, spec.n_beta)
     else:
@@ -137,7 +148,7 @@ def first_principles_labels(spec: SweepSpec) -> np.ndarray:
     matrix defines.
     """
     if spec.form != "consistent":
-        raise PartitionError("first-principles oracle is defined by the matrix, i.e. the 'consistent' form")
+        raise PartitionInputError("first-principles oracle is defined by the matrix, i.e. the 'consistent' form")
     A = spec.alphas[None, :] + np.zeros((spec.n_beta, 1))
     B = spec.betas[:, None] + np.zeros((1, spec.n_alpha))
     s = A + B
@@ -204,7 +215,7 @@ def _cleared_discriminant(spec: SweepSpec, eta_sq: float, alpha: float) -> Polyn
     s = np.array([alpha, 1.0])
     s2 = _mul(s, s)
     gamma = spec.gamma
-    c = spec.d if spec.form == "consistent" else spec.d + 1.0
+    c = _det_diffusivity(spec.d, spec.form)
     # s * D, from D = (gamma (beta-alpha)/s - eta^2)(-gamma s^2 - c eta^2) + 2 gamma^2 beta s
     sD = _add(_mul(_sub(_mul([gamma], np.array([-alpha, 1.0])), _mul([eta_sq], s)),
                    _sub(_mul([-gamma], s2), np.array([c * eta_sq]))),
@@ -293,7 +304,7 @@ def _curve(spec: SweepSpec, alpha_samples, what: str, cleared, defining) -> np.n
     points = []
     for alpha in np.atleast_1d(np.asarray(alpha_samples, dtype=np.float64)):
         if not (spec.alpha_min <= alpha <= spec.alpha_max):
-            raise PartitionError(f"alpha sample {alpha!r} outside the sweep window")
+            raise PartitionInputError(f"alpha sample {alpha!r} outside the sweep window")
 
         def value_scale(beta, alpha=alpha):
             return defining(*_trace_det(alpha, beta, spec.gamma, spec.d, eta_sq, spec.form))
@@ -401,29 +412,29 @@ def import_region_labels(csv_path, n_alpha: int, n_beta: int) -> np.ndarray:
     """Re-read the label grid from a region CSV written by export_region_map.
 
     A row without three fields, an unknown label or a row past the
-    n_alpha * n_beta cells raises PartitionError naming the line.
+    n_alpha * n_beta cells raises PartitionInputError naming the line.
     """
     labels = np.empty((n_beta, n_alpha), dtype=np.int8)
     by_name = {label.value: code for label, code in LABEL_CODES.items()}
     with open(csv_path, encoding="utf-8") as f:
         header = f.readline().strip()
         if header != REGION_CSV_HEADER:
-            raise PartitionError(f"unexpected region CSV header: {header!r}")
+            raise PartitionInputError(f"unexpected region CSV header: {header!r}")
         idx = 0
         for lineno, line in enumerate(f, start=2):
             if not line.strip():
                 continue
             fields = line.strip().split(",")
             if len(fields) != 3:
-                raise PartitionError(f"line {lineno}: expected 3 fields, got {len(fields)}")
+                raise PartitionInputError(f"line {lineno}: expected 3 fields, got {len(fields)}")
             if fields[2] not in by_name:
-                raise PartitionError(f"line {lineno}: unknown label {fields[2]!r}")
+                raise PartitionInputError(f"line {lineno}: unknown label {fields[2]!r}")
             if idx == labels.size:
-                raise PartitionError(f"line {lineno}: more than {labels.size} rows")
+                raise PartitionInputError(f"line {lineno}: more than {labels.size} rows")
             labels[idx // n_alpha, idx % n_alpha] = by_name[fields[2]]
             idx += 1
     if idx != n_alpha * n_beta:
-        raise PartitionError(f"region CSV has {idx} rows, expected {n_alpha * n_beta}")
+        raise PartitionInputError(f"region CSV has {idx} rows, expected {n_alpha * n_beta}")
     return labels
 
 

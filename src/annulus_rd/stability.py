@@ -91,11 +91,18 @@ def steady_state(params: KineticParams) -> SteadyState:
     return SteadyState(s, params.beta / (s * s))
 
 
+def _det_diffusivity(d, form: str):
+    """The eta^2 coefficient in the determinant's second factor: d, the
+    matrix's (2,2) entry, for 'consistent'; the printed d + 1 for
+    'paper-literal'. The sweep and the cleared curve polynomials share it."""
+    return d if form == "consistent" else d + 1.0
+
+
 def _trace_det(alpha, beta, gamma, d, eta_sq, form: str):
     """Trace and determinant of the linearization, broadcast over array arguments."""
     s = alpha + beta
     T = gamma * (beta - alpha - s**3) / s - (d + 1.0) * eta_sq
-    diffusion = d * eta_sq if form == "consistent" else (d + 1.0) * eta_sq
+    diffusion = _det_diffusivity(d, form) * eta_sq
     D = (gamma * (beta - alpha) / s - eta_sq) * (-gamma * s * s - diffusion) \
         + 2.0 * gamma * gamma * beta * s
     return T, D

@@ -6,10 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import annulus_rd
-from annulus_rd import cli, verify
+from annulus_rd import cli, fem, geometry, spectrum, verify
 from annulus_rd.verify import REFERENCE_ETA
 
 # The directory that holds the package this process imported. The child runs
@@ -26,6 +27,28 @@ def run_cli(*args, cwd):
     return subprocess.run([sys.executable, "-m", "annulus_rd.cli", *args],
                           capture_output=True, text=True, cwd=cwd, timeout=300,
                           env=env)
+
+
+def main_exit(monkeypatch, capsys, *argv):
+    """Run cli.main() in this process; return its exit code and stderr.
+
+    In process, a test can replace an allocation site with a stand-in that
+    fails, so a missing size check fails at once instead of allocating.
+    """
+    monkeypatch.setattr(sys, "argv", ["annulus-rd", *argv])
+    with pytest.raises(SystemExit) as info:
+        cli.main()
+    return info.value.code, capsys.readouterr().err
+
+
+def unreached(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} was reached")
+    return fail
+
+
+def written_files(out_dir):
+    return [p for p in Path(out_dir).rglob("*") if p.is_file()]
 
 
 def assert_exit(proc, code):
@@ -190,6 +213,36 @@ def test_domain_errors(tmp_path):
                    cwd=tmp_path)
     assert_exit(proc, 4)
     assert "E_DOMAIN:" in proc.stderr and "threads" in proc.stderr
+
+
+@pytest.mark.parametrize("argv, site", [
+    (("spectrum", "--k-max", "1000000000"), (spectrum, "spectrum_table")),
+    (("spectrum", "--l-count", "1000000000"), (np, "arange")),
+    (("curves", "--n-samples", "1000000000"), (np, "linspace")),
+    (("mesh", "--h", "1e-5"), (geometry, "_hex_lattice")),
+    (("simulate", "--h", "1e-5"), (geometry, "_hex_lattice")),
+])
+def test_runaway_sizes_refused_before_allocation(tmp_path, monkeypatch, capsys, argv, site):
+    # each would allocate 8 GB or more: a list of 1e9 ints, 1e9 doubles,
+    # or a seed lattice of about 4.6e10 points
+    monkeypatch.setattr(*site, unreached(site[1]))
+    code, err = main_exit(monkeypatch, capsys, *argv, "--out", str(tmp_path / "o"))
+    assert code == 4, err
+    assert err.startswith("E_DOMAIN:") and "limit 4,000,000" in err
+    assert not written_files(tmp_path)
+
+
+def test_snapshot_names_must_differ(tmp_path, monkeypatch, capsys):
+    # both times of a pair are written as snapshot_t0.05.txt; the one file
+    # held the later one's state (step 51, not 50)
+    monkeypatch.setattr(fem, "simulate", unreached("fem.simulate"))
+    for times in ("0.05,0.05000001", "0.05,0.05"):
+        code, err = main_exit(monkeypatch, capsys, "simulate", "--h", "0.15", "--t-end", "0.06",
+                              "--threshold", "0", "--snapshots", times,
+                              "--out", str(tmp_path / "o"))
+        assert code == 4, err
+        assert err.startswith("E_DOMAIN:") and "snapshot" in err
+    assert not written_files(tmp_path)
 
 
 def test_runtime_error_on_diverging_kinetics(tmp_path):

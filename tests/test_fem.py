@@ -8,6 +8,7 @@ from scipy.sparse.linalg import spsolve
 from annulus_rd import fem
 from annulus_rd.fem import (
     FemError,
+    FemInputError,
     FemState,
     RunConfig,
     RunRecord,
@@ -458,6 +459,33 @@ def test_simulate_refuses_operators_of_another_mesh(coarse, medium):
     _, other_ops = medium
     with pytest.raises(FemError, match="do not fit"):
         simulate(RunConfig(TURING, mesh, dt=1e-3, t_end=0.01), other_ops)
+
+
+def test_refused_inputs_are_value_errors(coarse, medium):
+    # a refused input is a ValueError, so the CLI exits 4, and still a
+    # FemError; a failed computation is neither a ValueError nor exit 4
+    mesh, ops = coarse
+    _, other_ops = medium
+    config = RunConfig(TURING, mesh, dt=1e-3, t_end=0.01)
+    state = initial_conditions(TURING, mesh)
+    refusals = (
+        lambda: RunConfig(TURING, mesh, dt=-1.0, t_end=1.0),
+        lambda: RunConfig(TURING, mesh, dt=1e-3, t_end=1.0, kinetics="explicit"),
+        lambda: FemState(np.zeros(3), np.zeros(4), 0.0),
+        lambda: simulate(config, other_ops),
+        lambda: l2_time_derivative(state, state, 0.0, ops),
+        lambda: monitor_peaks(_synthetic_record(mesh), species="w"),
+    )
+    for refuse in refusals:
+        with pytest.raises(FemInputError) as info:
+            refuse()
+        assert isinstance(info.value, ValueError) and isinstance(info.value, FemError)
+
+    params = KineticParams(TURING.alpha, TURING.beta, 1e6, TURING.d)
+    diverging = RunConfig(params, mesh, dt=0.5, t_end=1.0, threshold=0.0)
+    with np.errstate(over="ignore"), pytest.raises(FemError) as info:
+        simulate(diverging, ops)
+    assert not isinstance(info.value, ValueError)
 
 
 @pytest.mark.parametrize("u", [1e3, 1e160])

@@ -183,6 +183,20 @@ def test_triangulation_h_validation():
         triangulate_annulus(geom, 0.5)  # h must be below the thickness
 
 
+def test_seed_lattice_size_refused_before_it_is_built(monkeypatch):
+    # the count the limit is checked on is the lattice's own point count
+    for b, h in ((1.0, 0.0286), (1.0, 0.2), (2.3, 0.013), (1.0, 0.005)):
+        assert geometry._lattice_size(b, h) == len(geometry._hex_lattice(b, h))
+
+    # h = 1e-5 would seed about 4.6e10 points
+    def unreached(b, h):
+        raise AssertionError("the seed lattice was built")
+
+    monkeypatch.setattr(geometry, "_hex_lattice", unreached)
+    with pytest.raises(GeometryError, match="lattice points, over the limit 4,000,000"):
+        triangulate_annulus(make_annulus(0.5, 1.0), 1e-5)
+
+
 def test_mesh_roundtrip(tmp_path):
     geom = make_annulus(0.5, 1.0)
     mesh = triangulate_annulus(geom, 0.18)

@@ -1,6 +1,7 @@
 """Partition: parameter-plane sweeps, curve extraction, exports."""
 
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from annulus_rd.partition import (
     CurveSet,
     LABEL_CODES,
     PartitionError,
+    PartitionInputError,
     REGION_CSV_HEADER,
     SweepSpec,
     build_curves,
@@ -55,6 +57,34 @@ def test_spec_validation():
         SweepSpec(0.005, 1.0, 0.005, 1.0, 10, 10, 1.0, 1.0, MODE, GEOM, form="other")
 
 
+@pytest.mark.parametrize("n_alpha, n_beta", [(10.5, 10), (10, 10.0), (10, "10")])
+def test_spec_refuses_non_integer_grid_counts(n_alpha, n_beta):
+    # n_alpha = 10.5 constructed, and the sweep then failed in linspace
+    with pytest.raises(PartitionError, match="grid counts must be integers"):
+        SweepSpec(0.005, 1.0, 0.005, 1.0, n_alpha, n_beta, 1.0, 1.0, MODE, GEOM)
+    assert SweepSpec(0.005, 1.0, 0.005, 1.0, np.int64(10), 10, 1.0, 1.0, MODE, GEOM).n_alpha == 10
+
+
+def test_refused_inputs_are_value_errors(tmp_path):
+    # a refused input is a ValueError, so the CLI exits 4, and still a
+    # PartitionError; a failed cross-check stays a RuntimeError only
+    spec = _spec(21.0, 8.0, n=10)
+    literal = SweepSpec(0.005, 1.0, 0.005, 1.0, 10, 10, 21.0, 8.0, MODE, GEOM,
+                        form="paper-literal")
+    region_csv = tmp_path / "region.csv"
+    region_csv.write_text("alpha,beta,colour\n")
+    refusals = (
+        lambda: SweepSpec(0.0, 1.0, 0.005, 1.0, 10, 10, 1.0, 1.0, MODE, GEOM),
+        lambda: transcritical_curve(spec, [2.0]),
+        lambda: first_principles_labels(literal),
+        lambda: import_region_labels(region_csv, 2, 2),
+    )
+    for refuse in refusals:
+        with pytest.raises(PartitionInputError) as info:
+            refuse()
+        assert isinstance(info.value, ValueError) and isinstance(info.value, PartitionError)
+
+
 def test_quiet_configuration_is_temporally_stable():
     counts = sweep_classify(_spec(1.0, 1.4)).counts()
     assert counts["HopfInstability"] == 0
@@ -91,9 +121,12 @@ def test_sweep_thread_determinism():
     assert np.array_equal(lab1, lab4)
 
 
-def test_sweep_threads_capped_at_rows(monkeypatch):
-    # a stand-in pool records the worker count and maps in this thread, so
-    # no thread is started whatever count is asked for
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Worker counts asked of a stand-in pool that maps in this thread.
+
+    No thread is started whatever count is asked for.
+    """
     seen = []
 
     class SerialPool:
@@ -110,9 +143,25 @@ def test_sweep_threads_capped_at_rows(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(partition, "ThreadPoolExecutor", SerialPool)
+    return seen
+
+
+def test_sweep_threads_capped_at_rows(monkeypatch, pool_sizes):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     spec = _spec(21.0, 8.0, n=20)
     region = sweep_classify(spec, threads=1000)
-    assert seen == [20]
+    assert pool_sizes == [20]
+    assert np.array_equal(region.labels, sweep_classify(spec).labels)
+
+
+@pytest.mark.parametrize("cores, pools", [(3, [3]), (None, [])])
+def test_sweep_threads_capped_at_cores(monkeypatch, pool_sizes, cores, pools):
+    # threads past the core count only wait; an unknown count means one
+    # worker, which runs in this thread without a pool
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    spec = _spec(21.0, 8.0, n=20)
+    region = sweep_classify(spec, threads=1000)
+    assert pool_sizes == pools
     assert np.array_equal(region.labels, sweep_classify(spec).labels)
 
 
@@ -211,8 +260,9 @@ def test_curve_cross_check_failures(monkeypatch, fault, message, builder, curve,
     spec = _spec(21.0, 8.0)
     assert len(curve(spec, [alpha])) == 1
     monkeypatch.setattr(partition, builder, fault(getattr(partition, builder)))
-    with pytest.raises(PartitionError, match=message):
+    with pytest.raises(PartitionError, match=message) as info:
         curve(spec, [alpha])
+    assert not isinstance(info.value, ValueError)  # a failed computation, exit 5
 
 
 def _reference_trace(spec, eta_sq, alpha):
