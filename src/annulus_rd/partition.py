@@ -224,8 +224,36 @@ def _cleared_discriminant(spec: SweepSpec, eta_sq: float, alpha: float) -> Polyn
     return Polynomial(_sub(_mul(trace, trace), _mul(_mul([4.0], s), sD)))
 
 
-def _real_roots_in(poly: Polynomial, lo: float, hi: float) -> np.ndarray:
-    roots = poly.roots()
+def _companion_roots(coefs) -> list[np.ndarray]:
+    """The roots of each coefficient array, as Polynomial(c).roots() gives them.
+
+    The arrays are trimmed and grouped by length. Each group's companion
+    matrices, built as polycompanion builds them, go through one stacked
+    eigvals call, and each row is sorted as polyroots sorts it; a linear
+    array keeps -c[0]/c[1] and a constant has no roots. Polynomial.roots
+    maps the roots through its default domain as 0 + 1*r, which can only
+    flip the sign of a zero part.
+    """
+    coefs = [_trim(np.asarray(c, dtype=np.float64)) for c in coefs]
+    roots = [np.empty(0)] * len(coefs)
+    by_length: dict[int, list[int]] = {}
+    for i, c in enumerate(coefs):
+        by_length.setdefault(len(c), []).append(i)
+    for n, rows in by_length.items():
+        if n == 2:
+            for i in rows:
+                roots[i] = np.array([-coefs[i][0] / coefs[i][1]])
+        elif n > 2:
+            c = np.array([coefs[i] for i in rows])
+            mat = np.zeros((len(rows), n - 1, n - 1))
+            mat[:, np.arange(1, n - 1), np.arange(n - 2)] = 1.0
+            mat[:, :, -1] -= c[:, :-1] / c[:, -1:]
+            for i, r in zip(rows, np.sort(np.linalg.eigvals(mat), axis=-1)):
+                roots[i] = r
+    return roots
+
+
+def _real_roots_in(roots: np.ndarray, lo: float, hi: float) -> np.ndarray:
     real = roots[np.abs(roots.imag) < 1e-9 * np.maximum(1.0, np.abs(roots.real))].real
     real = real[(real >= lo) & (real <= hi)]
     return np.sort(real)
@@ -241,29 +269,42 @@ def _merge_close(values: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     return np.array(out)
 
 
-def _bisect_roots(fn, lo: float, hi: float, samples: int = 2001) -> np.ndarray:
-    """All simple roots of fn on [lo, hi] via sign-change bracketing."""
+def _bisect_roots(fn, alphas: np.ndarray, lo: float, hi: float,
+                  samples: int = 2001) -> list[np.ndarray]:
+    """All simple roots in beta on [lo, hi] of fn(alpha, beta), for each alpha.
+
+    fn broadcasts over its two arguments. One call evaluates it on the beta
+    grid linspace(lo, hi, samples) for every alpha; a sign change between
+    neighbouring grid values brackets a root, and the brackets of all
+    alphas are halved together, one fn call per halving. A bracket stops
+    at an exact zero of fn, once narrower than 1e-15 max(1, |midpoint|), or
+    after 200 halvings. Grid values that are exactly zero are roots too.
+    Returns one sorted array per alpha, with roots closer than 1e-8 merged.
+    """
     grid = np.linspace(lo, hi, samples)
-    vals = fn(grid)
-    roots = []
+    vals = fn(alphas[:, None], grid)
     sign = np.sign(vals)
-    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        x0, x1 = grid[i], grid[i + 1]
-        f0 = vals[i]
-        for _ in range(200):
-            xm = 0.5 * (x0 + x1)
-            fm = fn(xm)
-            if fm == 0.0 or (x1 - x0) < 1e-15 * max(1.0, abs(xm)):
-                x0 = x1 = xm
-                break
-            if (f0 < 0) == (fm < 0):
-                x0, f0 = xm, fm
-            else:
-                x1 = xm
-        roots.append(0.5 * (x0 + x1))
-    for i in np.nonzero(vals == 0.0)[0]:
-        roots.append(grid[i])
-    return _merge_close(np.sort(np.array(roots))) if roots else np.empty(0)
+    rows, cols = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
+    alpha, x0, x1, f0 = alphas[rows], grid[cols], grid[cols + 1], vals[rows, cols]
+    live = np.arange(len(rows))
+    for _ in range(200):
+        if not live.size:
+            break
+        xm = 0.5 * (x0[live] + x1[live])
+        fm = fn(alpha[live], xm)
+        done = (fm == 0.0) | ((x1[live] - x0[live]) < 1e-15 * np.maximum(1.0, np.abs(xm)))
+        up = ~done & ((f0[live] < 0) == (fm < 0))
+        down = ~done & ~up
+        x0[live[done]] = x1[live[done]] = xm[done]
+        x0[live[up]], f0[live[up]] = xm[up], fm[up]
+        x1[live[down]] = xm[down]
+        live = live[~done]
+    zero_rows, zero_cols = np.nonzero(vals == 0.0)
+    found = np.concatenate([0.5 * (x0 + x1), grid[zero_cols]])
+    owner = np.concatenate([rows, zero_rows])
+    order = np.lexsort((found, owner))
+    ends = np.cumsum(np.bincount(owner, minlength=len(alphas)))[:-1]
+    return [_merge_close(r) for r in np.split(found[order], ends)]
 
 
 def _cross_checked_roots(poly_roots: np.ndarray, bisect_roots: np.ndarray,
@@ -297,26 +338,34 @@ def _curve(spec: SweepSpec, alpha_samples, what: str, cleared, defining) -> np.n
 
     cleared(spec, eta_sq, alpha) builds the function's cleared polynomial
     in beta; defining(T, D) returns the function's value and the scale its
-    tangency residual is measured against. Points come sorted, as an
-    (n, 2) array.
+    tangency residual is measured against. Every sample is checked against
+    the window before anything is evaluated. The companion roots of all
+    samples come from one eigvals call per polynomial length
+    (_companion_roots) and their bisection brackets are halved together
+    (_bisect_roots); the two root sets are then reconciled sample by
+    sample, in sample order. Points come sorted, as an (n, 2) array.
     """
+    alphas = np.atleast_1d(np.asarray(alpha_samples, dtype=np.float64))
+    outside = ~((spec.alpha_min <= alphas) & (alphas <= spec.alpha_max))
+    if outside.any():
+        raise PartitionInputError(
+            f"alpha sample {alphas[np.argmax(outside)]!r} outside the sweep window")
     eta_sq = spec.eta_sq
+
+    def value_scale(alpha, beta):
+        return defining(*_trace_det(alpha, beta, spec.gamma, spec.d, eta_sq, spec.form))
+
+    proots = _companion_roots([cleared(spec, eta_sq, alpha).coef for alpha in alphas])
+    broots = _bisect_roots(lambda alpha, beta: value_scale(alpha, beta)[0],
+                           alphas, spec.beta_min, spec.beta_max)
     points = []
-    for alpha in np.atleast_1d(np.asarray(alpha_samples, dtype=np.float64)):
-        if not (spec.alpha_min <= alpha <= spec.alpha_max):
-            raise PartitionInputError(f"alpha sample {alpha!r} outside the sweep window")
-
-        def value_scale(beta, alpha=alpha):
-            return defining(*_trace_det(alpha, beta, spec.gamma, spec.d, eta_sq, spec.form))
-
-        def residual(beta):
-            value, scale = value_scale(beta)
+    for alpha, roots, bisected in zip(alphas, proots, broots):
+        def residual(beta, alpha=alpha):
+            value, scale = value_scale(alpha, beta)
             return value / scale
 
-        proots = _merge_close(_real_roots_in(cleared(spec, eta_sq, alpha),
-                                             spec.beta_min, spec.beta_max))
-        broots = _bisect_roots(lambda beta: value_scale(beta)[0], spec.beta_min, spec.beta_max)
-        for beta in _cross_checked_roots(proots, broots, residual, float(alpha), what):
+        real = _merge_close(_real_roots_in(roots, spec.beta_min, spec.beta_max))
+        for beta in _cross_checked_roots(real, bisected, residual, float(alpha), what):
             points.append((float(alpha), float(beta)))
     return np.array(sorted(points)).reshape(-1, 2)
 

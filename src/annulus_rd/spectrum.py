@@ -98,10 +98,12 @@ def _eigenvalues(k, l, a, b) -> np.ndarray:
     k, l, a, b = np.broadcast_arrays(k, l, a, b)
     weight, order, _, _ = _closed_form(k, l, a, b)
     eta_sq = weight * order
-    # negated comparisons also flag NaN (and the order test flags +-inf),
-    # which ModeIndex refuses as well
-    bad = (~(np.isfinite(k) & (k >= 0)) | (k != np.trunc(k))
-           | ~(np.abs(l - np.round(2.0 * l) / 2.0) > HALF_INTEGER_TOL) | (eta_sq < 0.0))
+    # negated comparisons also flag NaN (and the order test flags +-inf,
+    # where inf - inf is a NaN that needs no warning), which ModeIndex
+    # refuses as well
+    with np.errstate(invalid="ignore"):
+        bad = (~(np.isfinite(k) & (k >= 0)) | (k != np.trunc(k))
+               | ~(np.abs(l - np.round(2.0 * l) / 2.0) > HALF_INTEGER_TOL) | (eta_sq < 0.0))
     if bad.any():
         i = np.unravel_index(np.argmax(bad), bad.shape)
         mode = ModeIndex(k[i].item(), l[i].item())
@@ -368,10 +370,12 @@ def render_phase_plot(series: EigenfunctionSeries, eta: float,
     """Render the eigenmode as an HSV phase plot and write a binary PPM.
 
     Hue encodes the argument of w mapped by (arg w + pi)/(2 pi), value
-    encodes |w| relative to its maximum, saturation is 1. Pixels outside
-    the annulus are black. The function is pure: identical inputs produce
-    byte-identical files. Returns the (resolution, resolution, 3) uint8
-    image array.
+    encodes |w| relative to its maximum, saturation is 1. Pixels whose
+    centre lies outside the annulus are black: the colours are computed
+    for the inside pixels only and scattered into a zeroed image, and an
+    annulus that holds no pixel centre renders all black. The function is
+    pure: identical inputs produce byte-identical files. Returns the
+    (resolution, resolution, 3) uint8 image array.
     """
     if not (8 <= resolution <= 2048):
         raise SpectrumError(f"resolution must lie in [8, 2048], got {resolution}")
@@ -382,15 +386,13 @@ def render_phase_plot(series: EigenfunctionSeries, eta: float,
     rr = np.hypot(X, Y)
     inside = (rr >= a) & (rr <= b)
 
-    w = np.zeros((n, n), dtype=np.complex128)
-    w[inside] = eigenfunction_value(series, eta, rr[inside], np.arctan2(Y[inside], X[inside]))
-
+    w = eigenfunction_value(series, eta, rr[inside], np.arctan2(Y[inside], X[inside]))
     mag = np.abs(w)
-    peak = mag.max() if mag.max() > 0.0 else 1.0
+    peak = mag.max(initial=0.0)
     hue = (np.angle(w) + np.pi) / (2.0 * np.pi)
-    val = np.where(inside, mag / peak, 0.0)
-    rgb = _hsv_to_rgb(hue, np.ones_like(hue), val)
-    img = np.clip(np.rint(rgb * 255.0), 0, 255).astype(np.uint8)
+    rgb = _hsv_to_rgb(hue, np.ones_like(hue), mag / (peak if peak > 0.0 else 1.0))
+    img = np.zeros((n, n, 3), dtype=np.uint8)
+    img[inside] = np.clip(np.rint(rgb * 255.0), 0, 255).astype(np.uint8)
 
     from ._util import replacing
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -34,10 +35,17 @@ def main_exit(monkeypatch, capsys, *argv):
 
     In process, a test can replace an allocation site with a stand-in that
     fails, so a missing size check fails at once instead of allocating.
+    Relative paths resolve against the working directory, which a test
+    sets with monkeypatch.chdir. Warnings are raised as errors: a
+    subprocess would print one on stderr next to the error line, where
+    here pytest would capture it.
     """
     monkeypatch.setattr(sys, "argv", ["annulus-rd", *argv])
-    with pytest.raises(SystemExit) as info:
-        cli.main()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.simplefilter("ignore", DeprecationWarning)  # hidden outside __main__
+        with pytest.raises(SystemExit) as info:
+            cli.main()
     return info.value.code, capsys.readouterr().err
 
 
@@ -61,44 +69,49 @@ def manifest_lines(out_dir):
         return [json.loads(line) for line in f]
 
 
-def test_no_arguments_is_usage_error(tmp_path):
-    proc = run_cli(cwd=tmp_path)
-    assert_exit(proc, 2)
-    assert "E_USAGE:" in proc.stderr
+def test_no_arguments_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, err = main_exit(monkeypatch, capsys)
+    assert code == 2, err
+    assert "E_USAGE:" in err
 
 
-def test_unknown_flag_is_usage_error(tmp_path):
-    proc = run_cli("spectrum", "--frequency", "3", cwd=tmp_path)
-    assert_exit(proc, 2)
-    assert "E_USAGE:" in proc.stderr
+def test_unknown_flag_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, err = main_exit(monkeypatch, capsys, "spectrum", "--frequency", "3")
+    assert code == 2, err
+    assert "E_USAGE:" in err
 
 
-def test_bad_form_is_usage_error(tmp_path):
-    proc = run_cli("spectrum", "--form", "folk", cwd=tmp_path)
-    assert_exit(proc, 2)
-    assert "E_USAGE:" in proc.stderr
+def test_bad_form_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, err = main_exit(monkeypatch, capsys, "spectrum", "--form", "folk")
+    assert code == 2, err
+    assert "E_USAGE:" in err
 
 
-def test_missing_config_file(tmp_path):
-    proc = run_cli("spectrum", "--config", "nope.ini", cwd=tmp_path)
-    assert_exit(proc, 3)
-    assert "E_CONFIG:" in proc.stderr
+def test_missing_config_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, err = main_exit(monkeypatch, capsys, "spectrum", "--config", "nope.ini")
+    assert code == 3, err
+    assert "E_CONFIG:" in err
 
 
-def test_unknown_config_key(tmp_path):
+def test_unknown_config_key(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "cfg.ini"
     cfg.write_text("[spectrum]\nwavelength = 3\n")
-    proc = run_cli("spectrum", "--config", "cfg.ini", cwd=tmp_path)
-    assert_exit(proc, 3)
-    assert "E_CONFIG:" in proc.stderr
-    assert "wavelength" in proc.stderr
+    code, err = main_exit(monkeypatch, capsys, "spectrum", "--config", "cfg.ini")
+    assert code == 3, err
+    assert "E_CONFIG:" in err
+    assert "wavelength" in err
 
     # keys of removed options are unknown too
     for section, key in (("spectrum", "truncation"), ("cli", "seedless")):
         cfg.write_text(f"[{section}]\n{key} = 1\n")
-        proc = run_cli("eigenmode", "--config", "cfg.ini", cwd=tmp_path)
-        assert_exit(proc, 3)
-        assert "E_CONFIG:" in proc.stderr and key in proc.stderr
+        code, err = main_exit(monkeypatch, capsys, "eigenmode", "--config", "cfg.ini")
+        assert code == 3, err
+        assert "E_CONFIG:" in err and key in err
 
 
 def test_config_sections_accept_sibling_keys(tmp_path):
@@ -121,73 +134,79 @@ def test_config_sections_accept_sibling_keys(tmp_path):
     assert "n_alpha" not in manifest_lines(tmp_path / "c")[0]["config"]
 
 
-def test_bad_values(tmp_path):
+def test_bad_values(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     # a bad flag value is a usage error, a bad config value a config error
     for flag, value in (("--k-max", "six"), ("--snapshots", "0.1,x")):
         sub = "simulate" if flag == "--snapshots" else "spectrum"
-        proc = run_cli(sub, flag, value, cwd=tmp_path)
-        assert_exit(proc, 2)
-        assert "E_USAGE:" in proc.stderr and flag in proc.stderr
+        code, err = main_exit(monkeypatch, capsys, sub, flag, value)
+        assert code == 2, err
+        assert "E_USAGE:" in err and flag in err
 
     cfg = tmp_path / "cfg.ini"
     for key, value in (("lumped", "maybe"), ("snapshots", "0.1,x")):
         cfg.write_text(f"[fem]\n{key} = {value}\n")
-        proc = run_cli("simulate", "--config", "cfg.ini", cwd=tmp_path)
-        assert_exit(proc, 3)
-        assert f"E_CONFIG: bad value for {key}" in proc.stderr
+        code, err = main_exit(monkeypatch, capsys, "simulate", "--config", "cfg.ini")
+        assert code == 3, err
+        assert f"E_CONFIG: bad value for {key}" in err
 
 
-def test_malformed_config(tmp_path):
+def test_malformed_config(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "cfg.ini"
     cfg.write_text("k-max = 3 with no section header\n")
-    proc = run_cli("spectrum", "--config", "cfg.ini", cwd=tmp_path)
-    assert_exit(proc, 3)
-    assert "E_CONFIG:" in proc.stderr
+    code, err = main_exit(monkeypatch, capsys, "spectrum", "--config", "cfg.ini")
+    assert code == 3, err
+    assert "E_CONFIG:" in err
 
 
-def test_domain_errors(tmp_path):
-    proc = run_cli("mesh", "--a", "2.0", "--b", "1.0", cwd=tmp_path)
-    assert_exit(proc, 4)
-    assert "E_DOMAIN:" in proc.stderr
+def test_domain_errors(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, err = main_exit(monkeypatch, capsys, "mesh", "--a", "2.0", "--b", "1.0")
+    assert code == 4, err
+    assert "E_DOMAIN:" in err
 
-    proc = run_cli("simulate", "--dt", "-1", cwd=tmp_path)
-    assert_exit(proc, 4)
-    assert "E_DOMAIN:" in proc.stderr
+    code, err = main_exit(monkeypatch, capsys, "simulate", "--dt", "-1")
+    assert code == 4, err
+    assert "E_DOMAIN:" in err
 
     # forward-Euler kinetics is no longer offered
-    proc = run_cli("simulate", "--kinetics", "explicit", "--h", "0.2", cwd=tmp_path)
-    assert_exit(proc, 4)
-    assert "E_DOMAIN:" in proc.stderr and "kinetics" in proc.stderr
+    code, err = main_exit(monkeypatch, capsys, "simulate", "--kinetics", "explicit",
+                          "--h", "0.2")
+    assert code == 4, err
+    assert "E_DOMAIN:" in err and "kinetics" in err
 
-    proc = run_cli("spectrum", "--l-start", "0.5", cwd=tmp_path)
-    assert_exit(proc, 4)
-    assert "E_DOMAIN:" in proc.stderr
+    code, err = main_exit(monkeypatch, capsys, "spectrum", "--l-start", "0.5")
+    assert code == 4, err
+    assert "E_DOMAIN:" in err
 
+    # one error line and nothing else: the half-integer test used to warn
+    # on inf - inf first (main_exit raises warnings as errors)
     for order in ("inf", "nan"):
-        proc = run_cli("spectrum", "--l-start", order, cwd=tmp_path)
-        assert_exit(proc, 4)
-        assert "E_DOMAIN:" in proc.stderr and "is not finite" in proc.stderr
+        code, err = main_exit(monkeypatch, capsys, "spectrum", "--l-start", order)
+        assert code == 4, err
+        assert err == f"E_DOMAIN: mode index l={order} is not finite\n"
 
     # t_end under half a step: the run would take no steps
-    proc = run_cli("simulate", "--h", "0.2", "--dt", "1e-3", "--t-end", "0.0001",
-                   cwd=tmp_path)
-    assert_exit(proc, 4)
-    assert "E_DOMAIN:" in proc.stderr
+    code, err = main_exit(monkeypatch, capsys, "simulate", "--h", "0.2", "--dt", "1e-3",
+                          "--t-end", "0.0001")
+    assert code == 4, err
+    assert "E_DOMAIN:" in err
 
     # a NaN threshold would never stop a run, a NaN snapshot never be taken
     for flag in ("--threshold", "--snapshots"):
-        proc = run_cli("simulate", "--h", "0.2", flag, "nan", cwd=tmp_path)
-        assert_exit(proc, 4)
-        assert "E_DOMAIN:" in proc.stderr
+        code, err = main_exit(monkeypatch, capsys, "simulate", "--h", "0.2", flag, "nan")
+        assert code == 4, err
+        assert "E_DOMAIN:" in err
 
     # a snapshot past the last step is never taken, one before t = 0 was
     # written as snapshot_t-1.txt holding the state of step 1; t_end = 0.0104
     # rounds to 10 steps of 1e-3, so the run ends before t = 0.0102
     for end, when in (("0.01", "-1"), ("0.01", "5"), ("0.0104", "0.0102")):
-        proc = run_cli("simulate", "--h", "0.2", "--t-end", end, "--snapshots", when,
-                       cwd=tmp_path)
-        assert_exit(proc, 4)
-        assert "E_DOMAIN:" in proc.stderr and "snapshot" in proc.stderr
+        code, err = main_exit(monkeypatch, capsys, "simulate", "--h", "0.2", "--t-end", end,
+                              "--snapshots", when)
+        assert code == 4, err
+        assert "E_DOMAIN:" in err and "snapshot" in err
     assert not list(tmp_path.rglob("snapshot_t*"))
 
     # infinite parameters overflowed (exit 1), wrote an all-DiscriminantCurve
@@ -196,23 +215,23 @@ def test_domain_errors(tmp_path):
                        (("classify", "--gamma", "inf", "--n-alpha", "4", "--n-beta", "4"), "gamma"),
                        (("spectrum", "--b", "inf"), "outer radius"),
                        (("mesh", "--b", "inf"), "outer radius")):
-        proc = run_cli(*args, "--out", "inf", cwd=tmp_path)
-        assert_exit(proc, 4)
-        assert "E_DOMAIN:" in proc.stderr and what in proc.stderr and "finite" in proc.stderr
+        code, err = main_exit(monkeypatch, capsys, *args, "--out", "inf")
+        assert code == 4, err
+        assert "E_DOMAIN:" in err and what in err and "finite" in err
         assert not [p for p in (tmp_path / "inf").rglob("*") if p.is_file()], args
 
     # runaway sizes are refused before anything is allocated
     for args, limit in ((("classify", "--n-alpha", "100000", "--n-beta", "100000"), "4,000,000"),
                         (("eigenmode", "--resolution", "100000"), "2048")):
-        proc = run_cli(*args, cwd=tmp_path)
-        assert_exit(proc, 4)
-        assert "E_DOMAIN:" in proc.stderr and limit in proc.stderr
+        code, err = main_exit(monkeypatch, capsys, *args)
+        assert code == 4, err
+        assert "E_DOMAIN:" in err and limit in err
 
     # a negative worker cap was silently taken as "all cores"
-    proc = run_cli("classify", "--n-alpha", "4", "--n-beta", "4", "--threads", "-3",
-                   cwd=tmp_path)
-    assert_exit(proc, 4)
-    assert "E_DOMAIN:" in proc.stderr and "threads" in proc.stderr
+    code, err = main_exit(monkeypatch, capsys, "classify", "--n-alpha", "4", "--n-beta", "4",
+                          "--threads", "-3")
+    assert code == 4, err
+    assert "E_DOMAIN:" in err and "threads" in err
 
 
 @pytest.mark.parametrize("argv, site", [
@@ -245,20 +264,23 @@ def test_snapshot_names_must_differ(tmp_path, monkeypatch, capsys):
     assert not written_files(tmp_path)
 
 
-def test_runtime_error_on_diverging_kinetics(tmp_path):
-    # the first half step would need about 1.2e6 RK4 substeps
-    proc = run_cli("simulate", "--gamma", "1e6", "--dt", "0.5", "--t-end", "1",
-                   "--h", "0.15", "--threshold", "0", cwd=tmp_path)
-    assert_exit(proc, 5)
-    assert "E_RUNTIME:" in proc.stderr and "substep count" in proc.stderr
-    assert "Warning" not in proc.stderr
+def test_runtime_error_on_diverging_kinetics(tmp_path, monkeypatch, capsys):
+    # the first half step would need about 1.2e6 RK4 substeps; a warning on
+    # the way would raise out of main_exit
+    monkeypatch.chdir(tmp_path)
+    code, err = main_exit(monkeypatch, capsys, "simulate", "--gamma", "1e6", "--dt", "0.5",
+                          "--t-end", "1", "--h", "0.15", "--threshold", "0")
+    assert code == 5, err
+    assert "E_RUNTIME:" in err and "substep count" in err
+    assert "Warning" not in err
 
 
-def test_io_error_when_out_is_under_a_file(tmp_path):
+def test_io_error_when_out_is_under_a_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     (tmp_path / "blocker").write_text("a file, not a directory\n")
-    proc = run_cli("spectrum", "--out", "blocker/sub", cwd=tmp_path)
-    assert_exit(proc, 6)
-    assert "E_IO:" in proc.stderr
+    code, err = main_exit(monkeypatch, capsys, "spectrum", "--out", "blocker/sub")
+    assert code == 6, err
+    assert "E_IO:" in err
 
 
 def test_option_precedence(tmp_path):

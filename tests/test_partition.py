@@ -237,6 +237,115 @@ def test_curve_sample_outside_window():
         transcritical_curve(spec, [0.0])
 
 
+def _unreached(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} was reached")
+    return fail
+
+
+@pytest.mark.parametrize("curve, samples, bad", [
+    (discriminant_curve, [0.4, 2.0], "2.0"),
+    (transcritical_curve, [0.5, 0.7, np.nan], "nan"),
+    (discriminant_curve, [0.0], "0.0"),
+])
+def test_curve_refuses_sample_before_evaluating(monkeypatch, curve, samples, bad):
+    # every sample is checked first: no polynomial is built and no T/D
+    # evaluated for the good samples ahead of the bad one
+    spec = _spec(21.0, 8.0)
+    for name in ("_cleared_trace", "_cleared_discriminant", "_trace_det"):
+        monkeypatch.setattr(partition, name, _unreached(name))
+    with pytest.raises(PartitionInputError, match=f"alpha sample np.float64\\({bad}\\) outside"):
+        curve(spec, samples)
+
+
+def _scalar_bisect_roots(fn, lo, hi, samples=2001):
+    """Bisection of one alpha's brackets, one bracket and one point at a time."""
+    grid = np.linspace(lo, hi, samples)
+    vals = fn(grid)
+    roots = []
+    sign = np.sign(vals)
+    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
+        x0, x1 = grid[i], grid[i + 1]
+        f0 = vals[i]
+        for _ in range(200):
+            xm = 0.5 * (x0 + x1)
+            fm = fn(xm)
+            if fm == 0.0 or (x1 - x0) < 1e-15 * max(1.0, abs(xm)):
+                x0 = x1 = xm
+                break
+            if (f0 < 0) == (fm < 0):
+                x0, f0 = xm, fm
+            else:
+                x1 = xm
+        roots.append(0.5 * (x0 + x1))
+    for i in np.nonzero(vals == 0.0)[0]:
+        roots.append(grid[i])
+    return partition._merge_close(np.sort(np.array(roots))) if roots else np.empty(0)
+
+
+_GRID = np.linspace(0.005, 1.0, 2001)
+
+
+@pytest.mark.parametrize("fn, alphas", [
+    # three roots per alpha, one of them sliding with alpha
+    (lambda alpha, beta: (beta - 0.3 * alpha) * (beta - 0.61) * (beta - 0.9 + 0.05 * alpha),
+     [0.1, 0.45, 0.9, 1.0]),
+    # roots exactly on grid points, met as zero grid values, next to one that is not
+    (lambda alpha, beta: (beta - alpha) * (beta - _GRID[1400]),
+     [_GRID[3], _GRID[700], 0.41234, _GRID[1400]]),
+    # no sign change at all, and a double root that bisection cannot see
+    (lambda alpha, beta: 1.0 + alpha * beta * beta, [0.2, 0.8]),
+    (lambda alpha, beta: (beta - alpha) * (beta - alpha), [0.2, 0.8]),
+    # roots at both window ends only
+    (lambda alpha, beta: (beta - 0.005) * (beta - 1.0) * alpha, [0.25, 0.75]),
+])
+def test_bisect_roots_matches_scalar_bisection(fn, alphas):
+    # fn multiplies and adds only, so an array and a scalar evaluation round
+    # alike and the batched brackets must end where the scalar ones do
+    alphas = np.array(alphas)
+    batched = partition._bisect_roots(fn, alphas, 0.005, 1.0)
+    assert len(batched) == len(alphas)
+    for alpha, roots in zip(alphas, batched):
+        want = _scalar_bisect_roots(lambda beta: fn(alpha, beta), 0.005, 1.0)
+        assert roots.tobytes() == want.tobytes(), alpha
+
+
+def test_bisect_roots_of_the_discriminant():
+    # the curves' own defining function, against the scalar reference; a
+    # scalar s**3 (C pow) and an array one round one unit apart on about 5%
+    # of arguments, so the roots may differ by a few units, far inside the
+    # cross-check's 1e-6
+    spec = _spec(21.0, 8.0)
+    eta_sq = spec.eta_sq
+
+    def fn(alpha, beta):
+        T, D = partition._trace_det(alpha, beta, spec.gamma, spec.d, eta_sq, spec.form)
+        return T * T - 4.0 * D
+
+    alphas = np.linspace(0.005, 0.995, 25)
+    batched = partition._bisect_roots(fn, alphas, 0.005, 1.0)
+    assert sum(len(roots) for roots in batched) > len(alphas)
+    for alpha, roots in zip(alphas, batched):
+        want = _scalar_bisect_roots(lambda beta: fn(alpha, beta), 0.005, 1.0)
+        assert len(roots) == len(want)
+        assert np.allclose(roots, want, rtol=0.0, atol=1e-13), alpha
+
+
+def test_companion_roots_match_polynomial_roots():
+    # mixed lengths in one call, trailing zeros, a linear and a constant
+    # array: each result equals Polynomial(c).roots(), whose domain map
+    # 0 + 1*r can only differ in the sign of a zero part
+    rng = np.random.default_rng(20261019)
+    coefs = [rng.normal(size=n) for n in (4, 7, 4, 8, 7, 2, 1, 4)]
+    coefs.append(np.array([2.0, -3.0, 1.0, 0.0, 0.0]))
+    coefs.append(partition._cleared_discriminant(_spec(21.0, 8.0), 3.7, 0.4).coef)
+    got = partition._companion_roots(coefs)
+    assert len(got) == len(coefs)
+    for c, roots in zip(coefs, got):
+        want = Polynomial(c).roots()
+        assert roots.shape == want.shape and np.array_equal(roots, want), c
+
+
 def _shifted(cleared):
     """cleared with every root moved up by 1e-3."""
     return lambda *args: cleared(*args)(Polynomial([-1e-3, 1.0]))

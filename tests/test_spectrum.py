@@ -1,5 +1,7 @@
 """Spectrum: closed-form eigenvalues, weighting, series, collocation, rendering."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -248,6 +250,37 @@ def test_render_phase_plot_pure(tmp_path):
     assert img1.shape == (64, 64, 3) and img1.dtype == np.uint8
     assert np.array_equal(img1, img2)
     assert data.endswith(img1.tobytes())
+
+
+# sha256 of render_phase_plot's PPM bytes, (a, b), k, l, resolution; no
+# pixel centre of the 8 px grid falls inside the 0.96-1 annulus
+RENDER_GOLDEN = {
+    ((0.5, 1.0), 1, 0.3, 400): "38110cd6903850318e347b1f6b96072e5456959322eb90ab114f12e987f70173",
+    ((0.5, 1.0), 2, 1.3, 400): "51a167ee9e5a2ed31157643912bc7596c5284b9531bccf6ab6fbe0c814488ab5",
+    ((0.5, 1.0), 3, -2.7, 400): "922649dfbd0781bf25447eca3c38acb7b5fae9b0b56679a261cebd0f0fea9a03",
+    ((0.5, 1.0), 1, 0.3, 8): "5420fd07d11c3345e70b6544901f74d43b62f25fc9e2976c179c5f7ec5a9ee20",
+    ((0.5, 1.0), 4, 5.3, 8): "a5091b7227986acdc70ccffb05032db12ecea83fa8a7366349c8bdbaf69565e7",
+    ((0.96, 1.0), 2, 1.3, 8): "a783f4c781e7a5a4b287fc2c253d08364ec6c2cd8313994700dbc0c2039704b5",
+    ((0.96, 1.0), 1, 0.3, 400): "3b0f2cad17ff6050312c38db3e9dbde937b23f364b5ef20f0317df21b3461f10",
+}
+
+
+@pytest.mark.parametrize("radii, k, l, resolution", list(RENDER_GOLDEN))
+def test_render_golden_bytes(tmp_path, radii, k, l, resolution):
+    geom = make_annulus(*radii)
+    mode = ModeIndex(k, l)
+    eta = float(np.sqrt(eigenvalue(mode, geom)))
+    path = tmp_path / "mode.ppm"
+    img = render_phase_plot(build_series(mode), eta, build_polar_grid(geom, N=16, M=8),
+                            path, resolution=resolution)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == RENDER_GOLDEN[radii, k, l, resolution]
+    # every pixel whose centre lies outside the annulus is black
+    a, b = radii
+    coords = -b + 2.0 * b * (np.arange(resolution) + 0.5) / resolution
+    rr = np.hypot(*np.meshgrid(coords, -coords))
+    outside = (rr < a) | (rr > b)
+    assert outside.any() and not img[outside].any()
+    assert img[~outside].any() == (~outside).any()
 
 
 def test_spectrum_csv_export(tmp_path):
