@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Polynomial
+from numpy.polynomial.polynomial import polycompanion
 
 from ._util import SIZE_LIMIT
 from .geometry import AnnulusGeometry
@@ -224,33 +225,20 @@ def _cleared_discriminant(spec: SweepSpec, eta_sq: float, alpha: float) -> Polyn
     return Polynomial(_sub(_mul(trace, trace), _mul(_mul([4.0], s), sD)))
 
 
-def _companion_roots(coefs) -> list[np.ndarray]:
-    """The roots of each coefficient array, as Polynomial(c).roots() gives them.
+def _companion_roots(polys: list[Polynomial]) -> list[np.ndarray]:
+    """p.roots() for each polynomial p, with one eigvals call for all.
 
-    The arrays are trimmed and grouped by length. Each group's companion
-    matrices, built as polycompanion builds them, go through one stacked
-    eigvals call, and each row is sorted as polyroots sorts it; a linear
-    array keeps -c[0]/c[1] and a constant has no roots. Polynomial.roots
-    maps the roots through its default domain as 0 + 1*r, which can only
-    flip the sign of a zero part.
+    Polynomial.roots sorts the eigenvalues of polycompanion(p.coef), and
+    its domain map 0 + 1*r can only flip the sign of a zero part, so one
+    eigvals call on the stacked companion matrices gives the same roots.
+    Unless every coefficient array has one length of 3 or more and a
+    nonzero last entry, each p.roots() is taken instead.
     """
-    coefs = [_trim(np.asarray(c, dtype=np.float64)) for c in coefs]
-    roots = [np.empty(0)] * len(coefs)
-    by_length: dict[int, list[int]] = {}
-    for i, c in enumerate(coefs):
-        by_length.setdefault(len(c), []).append(i)
-    for n, rows in by_length.items():
-        if n == 2:
-            for i in rows:
-                roots[i] = np.array([-coefs[i][0] / coefs[i][1]])
-        elif n > 2:
-            c = np.array([coefs[i] for i in rows])
-            mat = np.zeros((len(rows), n - 1, n - 1))
-            mat[:, np.arange(1, n - 1), np.arange(n - 2)] = 1.0
-            mat[:, :, -1] -= c[:, :-1] / c[:, -1:]
-            for i, r in zip(rows, np.sort(np.linalg.eigvals(mat), axis=-1)):
-                roots[i] = r
-    return roots
+    coefs = [p.coef for p in polys]
+    n = len(coefs[0]) if coefs else 0
+    if n < 3 or any(len(c) != n or c[-1] == 0 for c in coefs):
+        return [p.roots() for p in polys]
+    return list(np.sort(np.linalg.eigvals(np.array([polycompanion(c) for c in coefs])), axis=-1))
 
 
 def _real_roots_in(roots: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -303,8 +291,8 @@ def _bisect_roots(fn, alphas: np.ndarray, lo: float, hi: float,
     found = np.concatenate([0.5 * (x0 + x1), grid[zero_cols]])
     owner = np.concatenate([rows, zero_rows])
     order = np.lexsort((found, owner))
-    ends = np.cumsum(np.bincount(owner, minlength=len(alphas)))[:-1]
-    return [_merge_close(r) for r in np.split(found[order], ends)]
+    ends = np.cumsum(np.bincount(owner, minlength=len(alphas)))
+    return [_merge_close(r) for r in np.split(found[order], ends)[:len(alphas)]]
 
 
 def _cross_checked_roots(poly_roots: np.ndarray, bisect_roots: np.ndarray,
@@ -333,16 +321,21 @@ def _cross_checked_roots(poly_roots: np.ndarray, bisect_roots: np.ndarray,
     return poly_roots
 
 
+# alpha samples per batch in _curve: a batch's bisection grid holds
+# _CURVE_BATCH * 2001 values, so memory stays bounded however many samples
+_CURVE_BATCH = 256
+
+
 def _curve(spec: SweepSpec, alpha_samples, what: str, cleared, defining) -> np.ndarray:
     """Dual-method roots in beta of one defining function, per alpha sample.
 
     cleared(spec, eta_sq, alpha) builds the function's cleared polynomial
     in beta; defining(T, D) returns the function's value and the scale its
     tangency residual is measured against. Every sample is checked against
-    the window before anything is evaluated. The companion roots of all
-    samples come from one eigvals call per polynomial length
-    (_companion_roots) and their bisection brackets are halved together
-    (_bisect_roots); the two root sets are then reconciled sample by
+    the window before anything is evaluated. The samples then go in
+    batches of _CURVE_BATCH: a batch's companion roots come from one
+    eigvals call (_companion_roots) and its bisection brackets are halved
+    together (_bisect_roots); the two root sets are reconciled sample by
     sample, in sample order. Points come sorted, as an (n, 2) array.
     """
     alphas = np.atleast_1d(np.asarray(alpha_samples, dtype=np.float64))
@@ -355,18 +348,20 @@ def _curve(spec: SweepSpec, alpha_samples, what: str, cleared, defining) -> np.n
     def value_scale(alpha, beta):
         return defining(*_trace_det(alpha, beta, spec.gamma, spec.d, eta_sq, spec.form))
 
-    proots = _companion_roots([cleared(spec, eta_sq, alpha).coef for alpha in alphas])
-    broots = _bisect_roots(lambda alpha, beta: value_scale(alpha, beta)[0],
-                           alphas, spec.beta_min, spec.beta_max)
     points = []
-    for alpha, roots, bisected in zip(alphas, proots, broots):
-        def residual(beta, alpha=alpha):
-            value, scale = value_scale(alpha, beta)
-            return value / scale
+    for start in range(0, len(alphas), _CURVE_BATCH):
+        batch = alphas[start:start + _CURVE_BATCH]
+        proots = _companion_roots([cleared(spec, eta_sq, alpha) for alpha in batch])
+        broots = _bisect_roots(lambda alpha, beta: value_scale(alpha, beta)[0],
+                               batch, spec.beta_min, spec.beta_max)
+        for alpha, roots, bisected in zip(batch, proots, broots):
+            def residual(beta, alpha=alpha):
+                value, scale = value_scale(alpha, beta)
+                return value / scale
 
-        real = _merge_close(_real_roots_in(roots, spec.beta_min, spec.beta_max))
-        for beta in _cross_checked_roots(real, bisected, residual, float(alpha), what):
-            points.append((float(alpha), float(beta)))
+            real = _merge_close(_real_roots_in(roots, spec.beta_min, spec.beta_max))
+            for beta in _cross_checked_roots(real, bisected, residual, float(alpha), what):
+                points.append((float(alpha), float(beta)))
     return np.array(sorted(points)).reshape(-1, 2)
 
 

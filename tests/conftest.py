@@ -1,5 +1,7 @@
-"""Shared test config: deterministic hypothesis profile, acceptance summary."""
+"""Shared test config: deterministic hypothesis profile, acceptance summary,
+failing stand-ins."""
 
+import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -22,3 +24,13 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def unreached():
+    """unreached(name) is a stand-in for name that fails if it is called."""
+    def make(name):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"{name} was reached")
+        return fail
+    return make

@@ -49,12 +49,6 @@ def main_exit(monkeypatch, capsys, *argv):
     return info.value.code, capsys.readouterr().err
 
 
-def unreached(name):
-    def fail(*args, **kwargs):
-        raise AssertionError(f"{name} was reached")
-    return fail
-
-
 def written_files(out_dir):
     return [p for p in Path(out_dir).rglob("*") if p.is_file()]
 
@@ -241,7 +235,8 @@ def test_domain_errors(tmp_path, monkeypatch, capsys):
     (("mesh", "--h", "1e-5"), (geometry, "_hex_lattice")),
     (("simulate", "--h", "1e-5"), (geometry, "_hex_lattice")),
 ])
-def test_runaway_sizes_refused_before_allocation(tmp_path, monkeypatch, capsys, argv, site):
+def test_runaway_sizes_refused_before_allocation(tmp_path, monkeypatch, capsys, unreached,
+                                                 argv, site):
     # each would allocate 8 GB or more: a list of 1e9 ints, 1e9 doubles,
     # or a seed lattice of about 4.6e10 points
     monkeypatch.setattr(*site, unreached(site[1]))
@@ -251,7 +246,7 @@ def test_runaway_sizes_refused_before_allocation(tmp_path, monkeypatch, capsys, 
     assert not written_files(tmp_path)
 
 
-def test_snapshot_names_must_differ(tmp_path, monkeypatch, capsys):
+def test_snapshot_names_must_differ(tmp_path, monkeypatch, capsys, unreached):
     # both times of a pair are written as snapshot_t0.05.txt; the one file
     # held the later one's state (step 51, not 50)
     monkeypatch.setattr(fem, "simulate", unreached("fem.simulate"))

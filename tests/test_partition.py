@@ -237,23 +237,17 @@ def test_curve_sample_outside_window():
         transcritical_curve(spec, [0.0])
 
 
-def _unreached(name):
-    def fail(*args, **kwargs):
-        raise AssertionError(f"{name} was reached")
-    return fail
-
-
 @pytest.mark.parametrize("curve, samples, bad", [
     (discriminant_curve, [0.4, 2.0], "2.0"),
     (transcritical_curve, [0.5, 0.7, np.nan], "nan"),
     (discriminant_curve, [0.0], "0.0"),
 ])
-def test_curve_refuses_sample_before_evaluating(monkeypatch, curve, samples, bad):
+def test_curve_refuses_sample_before_evaluating(monkeypatch, unreached, curve, samples, bad):
     # every sample is checked first: no polynomial is built and no T/D
     # evaluated for the good samples ahead of the bad one
     spec = _spec(21.0, 8.0)
     for name in ("_cleared_trace", "_cleared_discriminant", "_trace_det"):
-        monkeypatch.setattr(partition, name, _unreached(name))
+        monkeypatch.setattr(partition, name, unreached(name))
     with pytest.raises(PartitionInputError, match=f"alpha sample np.float64\\({bad}\\) outside"):
         curve(spec, samples)
 
@@ -298,6 +292,8 @@ _GRID = np.linspace(0.005, 1.0, 2001)
     (lambda alpha, beta: (beta - alpha) * (beta - alpha), [0.2, 0.8]),
     # roots at both window ends only
     (lambda alpha, beta: (beta - 0.005) * (beta - 1.0) * alpha, [0.25, 0.75]),
+    # no samples: no root arrays
+    (lambda alpha, beta: beta - alpha, []),
 ])
 def test_bisect_roots_matches_scalar_bisection(fn, alphas):
     # fn multiplies and adds only, so an array and a scalar evaluation round
@@ -331,19 +327,53 @@ def test_bisect_roots_of_the_discriminant():
         assert np.allclose(roots, want, rtol=0.0, atol=1e-13), alpha
 
 
-def test_companion_roots_match_polynomial_roots():
-    # mixed lengths in one call, trailing zeros, a linear and a constant
-    # array: each result equals Polynomial(c).roots(), whose domain map
-    # 0 + 1*r can only differ in the sign of a zero part
+def _random_polys(*lengths):
     rng = np.random.default_rng(20261019)
-    coefs = [rng.normal(size=n) for n in (4, 7, 4, 8, 7, 2, 1, 4)]
-    coefs.append(np.array([2.0, -3.0, 1.0, 0.0, 0.0]))
-    coefs.append(partition._cleared_discriminant(_spec(21.0, 8.0), 3.7, 0.4).coef)
-    got = partition._companion_roots(coefs)
-    assert len(got) == len(coefs)
-    for c, roots in zip(coefs, got):
-        want = Polynomial(c).roots()
-        assert roots.shape == want.shape and np.array_equal(roots, want), c
+    return [Polynomial(rng.normal(size=n)) for n in lengths]
+
+
+@pytest.mark.parametrize("polys", [
+    _random_polys(4, 4, 4),
+    _random_polys(7, 7) + [partition._cleared_discriminant(_spec(21.0, 8.0), 3.7, 0.4)],
+    [],
+    # mixed lengths, a zero last coefficient, linear and constant arrays
+    _random_polys(4, 7, 4),
+    _random_polys(4, 4) + [Polynomial([2.0, -3.0, 1.0, 0.0])],
+    _random_polys(2, 2),
+    _random_polys(1),
+])
+def test_companion_roots_match_polynomial_roots(polys):
+    # each result equals p.roots(), whose domain map 0 + 1*r can only
+    # differ in the sign of a zero part
+    got = partition._companion_roots(polys)
+    assert len(got) == len(polys)
+    for p, roots in zip(polys, got):
+        want = p.roots()
+        assert roots.shape == want.shape and np.array_equal(roots, want), p
+
+
+@pytest.mark.parametrize("curve", [discriminant_curve, transcritical_curve])
+def test_curve_batches_bound_the_bisection_grid(monkeypatch, curve):
+    # samples go in batches, so no T/D evaluation spans more than one batch
+    # of beta grids, and the points are those of a single batch; shuffled,
+    # every batch holds points of both curves
+    spec = _spec(21.0, 8.0)
+    batch = partition._CURVE_BATCH
+    alphas = np.random.default_rng(7).permutation(np.linspace(0.005, 1.0, 2 * batch + batch // 2))
+    trace_det, sizes = partition._trace_det, []
+
+    def spy(alpha, beta, *args):
+        sizes.append(np.broadcast(alpha, beta).size)
+        assert sizes[-1] <= batch * 2001
+        return trace_det(alpha, beta, *args)
+
+    monkeypatch.setattr(partition, "_trace_det", spy)
+    batched = curve(spec, alphas)
+    assert max(sizes) == batch * 2001
+    assert all(np.isin(part, batched[:, 0]).any() for part in np.split(alphas, [batch, 2 * batch]))
+    monkeypatch.setattr(partition, "_trace_det", trace_det)
+    monkeypatch.setattr(partition, "_CURVE_BATCH", len(alphas))
+    assert batched.tobytes() == curve(spec, alphas).tobytes()
 
 
 def _shifted(cleared):
