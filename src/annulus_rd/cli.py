@@ -114,8 +114,8 @@ def _cmd_spectrum(opt, out_dir):
 def _cmd_eigenmode(opt, out_dir):
     geom = geometry.make_annulus(opt["a"], opt["b"])
     mode = spectrum.ModeIndex(opt["k"], opt["l"])
-    series = spectrum.build_series(mode)
     eta = float(np.sqrt(spectrum.eigenvalue(mode, geom)))
+    series = spectrum.build_series(mode)
     grid = geometry.build_polar_grid(geom, N=95, M=90)
     path = out_dir / f"mode_k{opt['k']}_l{opt['l']:g}.ppm"
     spectrum.render_phase_plot(series, eta, grid, path, resolution=opt["resolution"])

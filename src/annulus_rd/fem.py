@@ -198,6 +198,11 @@ class _Stepper:
     (a bound on the spectral radius of gamma dF) times the substep stays
     near 0.5, well inside the RK4 stability region.  Relaxation spikes at
     gamma ~ 7e2 are resolved by a few dozen substeps on the worst steps.
+    Its four stages, the stage argument and the weighted stage sum live in
+    six buffers allocated once per run; each interval copies its starting
+    state once and then updates it in place, with the operations and their
+    order of the allocating RK4 formula, so the results are bit-identical
+    to it.  kinetics_substeps counts the RK4 substeps of the run.
 
     "implicit" solves the full backward-Euler system with a chord Newton
     iteration, with A2 = diag(A_u, A_v) built once per run: its residual
@@ -215,7 +220,8 @@ class _Stepper:
     finite.  Every step applies at least one correction, even when its
     start already meets the tolerance, so the extrapolation error never
     reaches the state.  The iteration is non-monotone by design; it is
-    declared failed only after the refactorization budget is spent.
+    declared failed only after the refactorization budget is spent.  Its
+    residual's reaction terms are written into one buffer allocated per run.
     factorizations and lu_solves count splu calls and factor solves.
     """
 
@@ -232,11 +238,16 @@ class _Stepper:
         self.M2 = block_diag((M, M), format="csr")
         self.factorizations = 0  # splu calls and factor solves over the run
         self.lu_solves = 0
+        self.kinetics_substeps = 0  # RK4 substeps over the run
+        n2 = 2 * M.shape[0]
         if config.kinetics == "implicit":
             self.A2 = block_diag((self.A_u, self.A_v), format="csr")
+            self._f = np.empty(n2)  # [f; g] of the Newton residual
         else:
             self._lu_u, self._lu_v = splu(self.A_u.tocsc()), splu(self.A_v.tocsc())
             self.factorizations = 2
+            # RK4 stages k1-k4, the stage argument and the weighted stage sum
+            self._rk4 = tuple(np.empty(n2) for _ in range(6))
         self._lu = None
         self._prev = None  # the state the last implicit step started from
 
@@ -253,10 +264,11 @@ class _Stepper:
         n = len(state.u)
         return FemState(w[:n], w[n:], state.t + dt, state.step + 1)
 
-    def _F(self, w):
-        """The nodal reaction terms [f; g] at the stacked state w."""
+    def _F(self, w, out):
+        """Write the nodal reaction terms [f; g] at the stacked state w into out."""
         n = len(w) // 2
-        return np.concatenate(reaction_terms(self.config.params, w[:n], w[n:]))
+        reaction_terms(self.config.params, w[:n], w[n:], out=out)
+        return out
 
     def _diffuse(self, w, step):
         """Solve A_u u+ = M u and A_v v+ = M v, w = [u; v], with the cached factors."""
@@ -270,7 +282,10 @@ class _Stepper:
     # -- Strang splitting ----------------------------------------------------
 
     def _kinetics_interval(self, w, span, step):
-        """Integrate the nodal kinetics ODE over span with adaptive RK4."""
+        """Integrate the nodal kinetics ODE over span with adaptive RK4.
+
+        Returns a new array; w is left unchanged.
+        """
         gamma = self.config.params.gamma
         n = len(w) // 2
         fu, fv, gu, gv = reaction_jacobian(w[:n], w[n:])
@@ -280,13 +295,31 @@ class _Stepper:
         if not m <= self._MAX_SUBSTEPS:
             raise FemError(f"kinetics substep count {m:.6g} at step {step}; state diverging")
         m = max(int(m), 1)
+        self.kinetics_substeps += m
         h = span / m
+        # the scalar factors are grouped as Python evaluates the textbook form
+        # w + 0.5 * h * gamma * k1 ... w + (h / 6.0) * gamma * (k1 + 2.0 * k2 + ...)
+        half, full, sixth = 0.5 * h * gamma, h * gamma, (h / 6.0) * gamma
+        k1, k2, k3, k4, arg, acc = self._rk4
+        w = w.copy()
         for _ in range(m):
-            k1 = self._F(w)
-            k2 = self._F(w + 0.5 * h * gamma * k1)
-            k3 = self._F(w + 0.5 * h * gamma * k2)
-            k4 = self._F(w + h * gamma * k3)
-            w = w + (h / 6.0) * gamma * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            self._F(w, k1)
+            np.multiply(half, k1, out=arg)
+            np.add(w, arg, out=arg)
+            self._F(arg, k2)
+            np.multiply(half, k2, out=arg)
+            np.add(w, arg, out=arg)
+            self._F(arg, k3)
+            np.multiply(full, k3, out=arg)
+            np.add(w, arg, out=arg)
+            self._F(arg, k4)
+            np.multiply(2.0, k2, out=acc)
+            np.add(k1, acc, out=acc)
+            np.multiply(2.0, k3, out=arg)
+            np.add(acc, arg, out=acc)
+            np.add(acc, k4, out=acc)
+            np.multiply(sixth, acc, out=acc)
+            np.add(w, acc, out=w)
         return w
 
     # -- backward Euler with chord Newton ------------------------------------
@@ -320,7 +353,7 @@ class _Stepper:
         res_prev = np.inf
         best = None
         for _ in range(self._NEWTON_MAXITER):
-            R = self.A2 @ w - b - dt * gamma * (self.M2 @ self._F(w))
+            R = self.A2 @ w - b - dt * gamma * (self.M2 @ self._F(w, self._f))
             res = float(np.abs(R).max())
             if not np.isfinite(res):
                 if predicted and corrections == 0:
@@ -385,6 +418,7 @@ class RunRecord:
     final: FemState = None
     factorizations: int = 0  # sparse LU factorizations
     lu_solves: int = 0  # solves with those factors
+    kinetics_substeps: int = 0  # RK4 substeps of the split kinetics (0 for implicit)
 
 
 def simulate(config: RunConfig, ops: FemOperators | None = None) -> RunRecord:
@@ -430,6 +464,7 @@ def simulate(config: RunConfig, ops: FemOperators | None = None) -> RunRecord:
     record.final = state
     record.factorizations = stepper.factorizations
     record.lu_solves = stepper.lu_solves
+    record.kinetics_substeps = stepper.kinetics_substeps
     return record
 
 

@@ -57,7 +57,9 @@ class ModeIndex:
                 raise SpectrumError(f"mode index {name}={value} is not finite")
         if int(self.k) != self.k or self.k < 0:
             raise SpectrumError(f"k must be a non-negative integer, got {self.k}")
-        nearest = round(2.0 * self.l) / 2.0
+        # np.round, unlike round, takes the inf that 2 l overflows to near
+        # 1e308; such an order passes here and its eta^2 is refused as not finite
+        nearest = float(np.round(2.0 * self.l)) / 2.0
         if abs(self.l - nearest) <= HALF_INTEGER_TOL:
             raise SpectrumError(
                 f"order l={self.l} is within {HALF_INTEGER_TOL} of {nearest}, a "
@@ -93,15 +95,17 @@ def _eigenvalues(k, l, a, b) -> np.ndarray:
     The first entry in row-major order with a mode index that ModeIndex
     rejects raises its error. For l < -4k the order factor turns negative
     and so does eta^2; that regime is rejected too, since a negative eta^2
-    has no oscillatory eigenmode attached to it.
+    has no oscillatory eigenmode attached to it. A valid mode whose eta^2
+    overflows (|l| near 1e308) is refused last, as not finite.
     """
     k, l, a, b = np.broadcast_arrays(k, l, a, b)
-    weight, order, _, _ = _closed_form(k, l, a, b)
-    eta_sq = weight * order
-    # negated comparisons also flag NaN (and the order test flags +-inf,
-    # where inf - inf is a NaN that needs no warning), which ModeIndex
-    # refuses as well
-    with np.errstate(invalid="ignore"):
+    # overflow is reported by the finiteness test below, not by a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight, order, _, _ = _closed_form(k, l, a, b)
+        eta_sq = weight * order
+        # negated comparisons also flag NaN (and the order test flags +-inf,
+        # where inf - inf is a NaN that needs no warning), which ModeIndex
+        # refuses as well
         bad = (~(np.isfinite(k) & (k >= 0)) | (k != np.trunc(k))
                | ~(np.abs(l - np.round(2.0 * l) / 2.0) > HALF_INTEGER_TOL) | (eta_sq < 0.0))
     if bad.any():
@@ -109,6 +113,11 @@ def _eigenvalues(k, l, a, b) -> np.ndarray:
         mode = ModeIndex(k[i].item(), l[i].item())
         raise SpectrumError(f"eta^2 = {eta_sq[i].item()} is negative for mode "
                             f"(k={mode.k}, l={mode.l})")
+    infinite = ~np.isfinite(eta_sq)
+    if infinite.any():
+        i = np.unravel_index(np.argmax(infinite), infinite.shape)
+        raise SpectrumError(f"eta^2 is not finite for mode (k={k[i].item()}, l={l[i].item()}): "
+                            f"it overflows")
     return eta_sq
 
 

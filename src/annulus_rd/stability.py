@@ -59,10 +59,26 @@ class KineticParams:
                 raise StabilityError(f"{name} must be positive and finite, got {value}")
 
 
-def reaction_terms(params: KineticParams, u, v):
-    """Kinetic right-hand sides (f, g) = (alpha - u + u^2 v, beta - u^2 v)."""
-    uuv = u * u * v
-    return params.alpha - u + uuv, params.beta - uuv
+def reaction_terms(params: KineticParams, u, v, out=None):
+    """Kinetic right-hand sides (f, g) = (alpha - u + u^2 v, beta - u^2 v).
+
+    This is the one reaction formula. With out, an array of length 2n for
+    u and v of length n that overlaps neither, f is written into out[:n]
+    and g into out[n:], by the same operations in the same order, so the
+    values are bit-identical to the allocating form; the g half holds
+    u^2 v as scratch. The two views are returned.
+    """
+    if out is None:
+        uuv = u * u * v
+        return params.alpha - u + uuv, params.beta - uuv
+    n = len(u)
+    f, g = out[:n], out[n:]
+    np.multiply(u, u, out=g)
+    g *= v
+    np.subtract(params.alpha, u, out=f)
+    f += g
+    np.subtract(params.beta, g, out=g)
+    return f, g
 
 
 def reaction_jacobian(u, v):

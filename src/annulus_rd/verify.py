@@ -364,7 +364,8 @@ def criterion_10() -> CriterionResult:
     return _result(10, "recurrent oscillation run", passed, t0,
                    f"{len(early)} peaks by t=15 (needs >= 2), {len(peaks)} by t=30; "
                    f"pattern run has {len(pattern_peaks)} peak(s), decay rise "
-                   f"{worst_rise:.1e}; run wall {wall:.0f} s")
+                   f"{worst_rise:.1e}; run wall {wall:.0f} s, "
+                   f"{record.kinetics_substeps} RK4 substeps")
 
 
 # ---------------------------------------------------------------------------

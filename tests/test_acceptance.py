@@ -88,7 +88,11 @@ def test_criterion_9_pattern_formation_run():
 
 
 def test_criterion_10_oscillation_run():
-    _check(verify.criterion_10())
+    result = verify.criterion_10()
+    _check(result)
+    record, _ = verify.headline_run("hopf")
+    assert record.kinetics_substeps > 0
+    assert f"{record.kinetics_substeps} RK4 substeps" in result.detail
 
 
 def test_criterion_11_mesh_fidelity():

@@ -181,6 +181,15 @@ def test_domain_errors(tmp_path, monkeypatch, capsys):
         assert code == 4, err
         assert err == f"E_DOMAIN: mode index l={order} is not finite\n"
 
+    # a finite order whose eta^2 overflows wrote a table of inf (exit 0)
+    # after two overflow warnings; eigenmode failed with an OverflowError
+    for args in (("spectrum", "--k-max", "3", "--l-start", "1e308"),
+                 ("eigenmode", "--k", "1", "--l=1e308")):
+        code, err = main_exit(monkeypatch, capsys, *args, "--out", "huge")
+        assert code == 4, err
+        assert err == "E_DOMAIN: eta^2 is not finite for mode (k=1, l=1e+308): it overflows\n"
+        assert not written_files(tmp_path / "huge")
+
     # t_end under half a step: the run would take no steps
     code, err = main_exit(monkeypatch, capsys, "simulate", "--h", "0.2", "--dt", "1e-3",
                           "--t-end", "0.0001")

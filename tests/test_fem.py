@@ -30,6 +30,8 @@ STABLE = KineticParams(0.3, 0.2, 250.0, 10.0)
 # mild kinetics for convergence studies: trajectories stay smooth and finite
 # up to t = 1 (they oscillate later, so the monitor does not decay monotonically)
 DAMPED = KineticParams(0.15, 0.25, 25.0, 10.0)
+# criterion 10's oscillatory set: stiff relaxation kinetics
+HOPF = KineticParams(0.05, 0.55, 730.0, 5.0)
 
 
 @pytest.fixture(scope="module")
@@ -497,6 +499,116 @@ def test_split_kinetics_substep_guard(coarse, u):
     w = np.full(2 * len(mesh.vertices), u)
     with np.errstate(over="ignore"), pytest.raises(FemError, match="at step 7; state diverging"):
         stepper._kinetics_interval(w, 5e-4, 7)
+
+
+def _reference_interval(params, w, span):
+    """Split kinetics over span by the allocating RK4 formula and its substep rule.
+
+    Written out independently of the solver's buffered form: a new array
+    per operation, the rate bound from the derivatives of f and g.
+    """
+    gamma = params.gamma
+    n = len(w) // 2
+    u, v = w[:n], w[n:]
+    rate = np.maximum(np.abs(2.0 * u * v - 1.0) + np.abs(u * u),
+                      np.abs(-(2.0 * u * v)) + np.abs(-(u * u)))
+    m = max(int(np.ceil(span * gamma * max(float(rate.max()), 1.0) / 0.5)), 1)
+    h = span / m
+
+    def F(x):
+        return np.concatenate(reaction_terms(params, x[:n], x[n:]))
+
+    for _ in range(m):
+        k1 = F(w)
+        k2 = F(w + 0.5 * h * gamma * k1)
+        k3 = F(w + 0.5 * h * gamma * k2)
+        k4 = F(w + h * gamma * k3)
+        w = w + (h / 6.0) * gamma * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return w, m
+
+
+@pytest.mark.parametrize("params, u_range, v_range, min_substeps", [
+    pytest.param(HOPF, (0.5, 9.0), (0.02, 0.4), 24, id="hopf-stiff"),
+    pytest.param(TURING, (0.3, 0.8), (1.2, 1.9), 1, id="turing"),
+])
+def test_kinetics_interval_bit_identical_to_allocating_rk4(coarse, params, u_range, v_range,
+                                                         min_substeps):
+    # the buffered, in-place RK4 against the textbook allocating formula:
+    # equal bit for bit, over three intervals so the buffers are reused (the
+    # stiff state relaxes: 62, 33 and 17 substeps)
+    mesh, ops = coarse
+    n = len(mesh.vertices)
+    stepper = fem._Stepper(ops, RunConfig(params, mesh, dt=1e-3, t_end=1.0, kinetics="split"))
+    rng = np.random.default_rng(17)
+    w = np.concatenate([rng.uniform(*u_range, n), rng.uniform(*v_range, n)])
+    counts = []
+    for interval in range(3):
+        start = w.copy()
+        before = stepper.kinetics_substeps
+        got = stepper._kinetics_interval(w, 5e-4, interval)
+        ref, m = _reference_interval(params, w, 5e-4)
+        assert np.array_equal(w, start)  # the input is not written
+        assert np.array_equal(got, ref)
+        counts.append(stepper.kinetics_substeps - before)
+        assert counts[-1] == m
+        w = got
+    assert counts[0] >= min_substeps
+    assert np.all(np.isfinite(w))
+
+
+@pytest.mark.parametrize("kinetics", ["split", "implicit"])
+def test_step_returns_state_apart_from_stepper_buffers(coarse, kinetics):
+    # a returned state shares no memory with the per-run buffers and is not
+    # changed by later steps
+    mesh, ops = coarse
+    stepper = fem._Stepper(ops, RunConfig(TURING, mesh, dt=1e-3, t_end=1.0, kinetics=kinetics))
+    buffers = [a for value in vars(stepper).values()
+               for a in (value if isinstance(value, tuple) else (value,))
+               if isinstance(a, np.ndarray)]
+    assert len(buffers) == {"split": 6, "implicit": 1}[kinetics]
+    state = initial_conditions(TURING, mesh)
+    first = stepper.step(state)
+    kept = (first.u.copy(), first.v.copy())
+    for array in (first.u, first.v):
+        assert not any(np.shares_memory(array, buf) for buf in buffers)
+    later = stepper.step(stepper.step(first))
+    assert np.array_equal(first.u, kept[0]) and np.array_equal(first.v, kept[1])
+    assert not (np.shares_memory(later.u, first.u) or np.shares_memory(later.v, first.v))
+
+
+def test_snapshots_stay_distinct(coarse):
+    # snapshots at consecutive steps keep their own values after the run
+    mesh, ops = coarse
+    cfg = RunConfig(TURING, mesh, dt=1e-3, t_end=0.004, threshold=0.0,
+                    snapshot_times=(0.001, 0.002, 0.003))
+    rec = simulate(cfg, ops)
+    stepper = fem._Stepper(ops, cfg)
+    state = initial_conditions(TURING, mesh)
+    for (_, snap) in rec.snapshots:
+        state = stepper.step(state)
+        assert snap.step == state.step
+        assert np.array_equal(snap.u, state.u) and np.array_equal(snap.v, state.v)
+    arrays = [a for _, s in rec.snapshots for a in (s.u, s.v)] + [rec.final.u, rec.final.v]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
+
+
+@pytest.mark.parametrize("kinetics", ["split", "implicit"])
+def test_run_counts_kinetics_substeps(coarse, monkeypatch, kinetics):
+    # each RK4 substep evaluates the reaction terms four times; the implicit
+    # treatment runs no substeps. The count is a property of the run.
+    mesh, ops = coarse
+    calls = []
+    original = fem.reaction_terms
+    monkeypatch.setattr(fem, "reaction_terms",
+                        lambda *args, **kw: calls.append(1) or original(*args, **kw))
+    cfg = RunConfig(HOPF, mesh, dt=1e-3, t_end=0.02, threshold=0.0, kinetics=kinetics)
+    rec = simulate(cfg, ops)
+    if kinetics == "split":
+        assert rec.kinetics_substeps >= 2 * rec.final.step
+        assert len(calls) == 4 * rec.kinetics_substeps
+    else:
+        assert rec.kinetics_substeps == 0 and len(calls) > 0
+    assert simulate(cfg, ops).kinetics_substeps == rec.kinetics_substeps
 
 
 def _synthetic_record(coarse_mesh):

@@ -1,6 +1,7 @@
 """Spectrum: closed-form eigenvalues, weighting, series, collocation, rendering."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -302,6 +303,7 @@ def test_spectrum_csv_export(tmp_path):
     (range(1, 3), [0.3, float("nan")], 1, float("nan")),
     ([1.5, 2.7], [0.3], 1.5, 0.3),               # non-integer k, not truncated
     ([1, float("inf")], [0.3], float("inf"), 0.3),
+    (range(0, 4), [0.3, 1e308], 0, 1e308),        # eta^2 overflows
 ])
 def test_spectrum_table_rejects_like_eigenvalue(k_range, l_list, k, l):
     with pytest.raises(ValueError) as scalar:
@@ -318,3 +320,17 @@ def test_negative_eigenvalue_message():
         eigenvalue(ModeIndex(0, -0.3), GEOM)
     with pytest.raises(SpectrumError, match=r"is negative for mode \(k=0, l=-0\.3\)$"):
         spectrum_table(range(0, 2), [0.3, -0.3], GEOM)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k, l", [(2, 1e308), (1e200, 0.3)])
+def test_overflowing_eigenvalue_refused(k, l):
+    # a valid mode whose eta^2 overflows: the order factor and the
+    # half-integer test overflow without a warning, and the mode is refused
+    # by its own message, not tabulated as inf. (-1e308 is refused as
+    # negative, 1e200 as a multiple of 1/2.)
+    message = "^" + re.escape(f"eta^2 is not finite for mode (k={k}, l={l}): it overflows") + "$"
+    with pytest.raises(SpectrumError, match=message):
+        eigenvalue(ModeIndex(k, l), GEOM)
+    with pytest.raises(SpectrumError, match=message):
+        spectrum_table([k], [0.3, l], GEOM)

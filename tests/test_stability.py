@@ -66,6 +66,25 @@ def test_steady_state_kills_kinetics(alpha, beta):
     assert abs(g) < 1e-12 * scale
 
 
+@pytest.mark.parametrize("n", [1, 7, 3319])
+def test_reaction_terms_out_is_bit_identical(n):
+    # the in-place form writes f and g into the halves of one stacked array;
+    # odd n puts g at an odd offset, and a strided out gives halves that are
+    # non-contiguous views. Inputs are views of one stacked state, as in fem.
+    rng = np.random.default_rng(n)
+    w = rng.uniform(-3.0, 15.0, 2 * n)
+    w0 = w.copy()
+    u, v = w[:n], w[n:]
+    for p in (TURING, HOPF):
+        f_ref, g_ref = reaction_terms(p, u, v)
+        for out in (np.full(2 * n, np.nan), np.full(4 * n, np.nan)[1::2]):
+            f, g = reaction_terms(p, u, v, out=out)
+            assert np.shares_memory(f, out) and np.shares_memory(g, out)
+            assert np.array_equal(out[:n], f_ref) and np.array_equal(out[n:], g_ref)
+            assert np.array_equal(f, f_ref) and np.array_equal(g, g_ref)
+    assert np.array_equal(w, w0)
+
+
 def test_reaction_jacobian_matches_central_differences():
     # f and g are quadratic in u and linear in v, so a central difference is
     # exact up to round-off, about 1e-16 |f| / step
