@@ -271,6 +271,10 @@ def radial_part(series: EigenfunctionSeries, eta: float, r) -> np.ndarray:
         raise SpectrumError("series argument eta*r must be positive and finite")
     l = series.mode.l
     nu = abs(l)
+    # np.ldexp takes a C int exponent; from nu of about 1e8 on they do not fit
+    if max(abs(series.e_j), abs(series.e_y)) > np.iinfo(np.intc).max:
+        raise SpectrumError(f"radial profile of order l={l} is out of range: its Bessel "
+                            f"constants are 2^{series.e_j} and 2^{series.e_y} in size")
     j = jv(nu, x)
     with np.errstate(over="ignore", invalid="ignore"):
         values = (np.ldexp(series.c_j * j, series.e_j)

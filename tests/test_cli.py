@@ -190,6 +190,15 @@ def test_domain_errors(tmp_path, monkeypatch, capsys):
         assert err == "E_DOMAIN: eta^2 is not finite for mode (k=1, l=1e+308): it overflows\n"
         assert not written_files(tmp_path / "huge")
 
+    # a finite eta^2 whose Bessel constants' binary exponents do not fit
+    # np.ldexp's int failed with an OverflowError (exit 1)
+    code, err = main_exit(monkeypatch, capsys, "eigenmode", "--l=1000000000000000.25",
+                          "--out", "vast")
+    assert code == 4, err
+    assert err.startswith("E_DOMAIN: radial profile of order l=1000000000000000.2 is out of "
+                          "range") and err.count("\n") == 1
+    assert not written_files(tmp_path / "vast")
+
     # t_end under half a step: the run would take no steps
     code, err = main_exit(monkeypatch, capsys, "simulate", "--h", "0.2", "--dt", "1e-3",
                           "--t-end", "0.0001")

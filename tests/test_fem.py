@@ -20,7 +20,7 @@ from annulus_rd.fem import (
     monitor_peaks,
     simulate,
 )
-from annulus_rd.geometry import TriMesh, make_annulus, triangulate_annulus
+from annulus_rd.geometry import DESK_SCALE_H, TriMesh, make_annulus, triangulate_annulus
 from annulus_rd.stability import KineticParams, reaction_terms, steady_state
 
 GEOM = make_annulus(0.5, 1.0)
@@ -43,6 +43,12 @@ def coarse():
 @pytest.fixture(scope="module")
 def medium():
     mesh = triangulate_annulus(GEOM, 0.15)
+    return mesh, assemble(mesh)
+
+
+@pytest.fixture(scope="module")
+def desk():
+    mesh = triangulate_annulus(GEOM, DESK_SCALE_H)
     return mesh, assemble(mesh)
 
 
@@ -227,16 +233,20 @@ def _newton_step(ops, params, dt, state, M):
     raise AssertionError("reference Newton did not converge")
 
 
-@pytest.mark.parametrize("params, lumped", [
-    pytest.param(TURING, False, id="turing"),
-    pytest.param(DAMPED, False, id="damped"),
-    pytest.param(TURING, True, id="turing-lumped"),
+@pytest.mark.parametrize("mesh_name, params, lumped", [
+    pytest.param("coarse", TURING, False, id="turing"),
+    pytest.param("coarse", DAMPED, False, id="damped"),
+    pytest.param("coarse", TURING, True, id="turing-lumped"),
+    pytest.param("desk", TURING, False, id="turing-desk"),
 ])
-def test_implicit_chord_matches_full_newton(coarse, params, lumped):
+def test_implicit_chord_matches_full_newton(request, mesh_name, params, lumped):
     # each chord step (extrapolated start, reused factor) against full Newton
-    # from the same old state. The chord stops at a residual of 1e-11, which
-    # on this mesh leaves about 1.5e-9 relative in the state; the bound is 1e-8.
-    mesh, ops = coarse
+    # from the same old state. The chord stops once the residual over the
+    # lumped mass is below 5e-10 max(1, max|w^n|), which leaves at most
+    # 3.2e-9 relative in the state on the coarse mesh and 0.9e-9 on the desk
+    # mesh; the bound is 1e-8. An absolute residual bound of 1e-11 left
+    # 0.7e-9 and 4.4e-9 (turing): it loosened about as 1/h^2.
+    mesh, ops = request.getfixturevalue(mesh_name)
     dt = 1e-3
     stepper = fem._Stepper(ops, RunConfig(params, mesh, dt=dt, t_end=1.0, lumped=lumped,
                                           kinetics="implicit"))
@@ -320,6 +330,29 @@ def test_implicit_start_falls_back_to_old_state(coarse):
     u, v = _newton_step(ops, DAMPED, dt, s1, ops.mass)
     assert np.abs(s2.u - u).max() < 1e-8 * np.abs(u).max()
     assert np.abs(s2.v - v).max() < 1e-8 * np.abs(v).max()
+
+
+def test_implicit_keeps_factor_while_contracting(coarse):
+    # through the Turing transient on the coarse mesh (200 steps) the chord
+    # factor is refreshed only when a correction contracts the residual less
+    # than tenfold or a step has used it six times: 13 factorizations and
+    # 1,004 solves. Refreshing after every third correction took 130.
+    mesh, ops = coarse
+    cfg = RunConfig(TURING, mesh, dt=1e-3, t_end=0.2, threshold=0.0, kinetics="implicit")
+    rec = simulate(cfg, ops)
+    assert rec.final.step == 200
+    assert rec.factorizations <= 20
+    assert rec.lu_solves <= 6 * rec.final.step
+
+
+def test_implicit_refresh_budget_exhausted(coarse):
+    # a step far too long for the stiff Hopf kinetics (dt gamma = 365): after
+    # one contracting correction the residual grows under every refreshed
+    # factor, and the step fails once the refresh budget is spent
+    mesh, ops = coarse
+    cfg = RunConfig(HOPF, mesh, dt=0.5, t_end=1.0, threshold=0.0, kinetics="implicit")
+    with pytest.raises(FemError, match=r"Newton not converging at step 0 \(residual "):
+        simulate(cfg, ops)
 
 
 def test_implicit_decay_has_no_jitter(coarse):
@@ -565,7 +598,8 @@ def test_step_returns_state_apart_from_stepper_buffers(coarse, kinetics):
     buffers = [a for value in vars(stepper).values()
                for a in (value if isinstance(value, tuple) else (value,))
                if isinstance(a, np.ndarray)]
-    assert len(buffers) == {"split": 6, "implicit": 1}[kinetics]
+    # implicit: the residual's reaction terms and the reciprocal lumped mass
+    assert len(buffers) == {"split": 6, "implicit": 2}[kinetics]
     state = initial_conditions(TURING, mesh)
     first = stepper.step(state)
     kept = (first.u.copy(), first.v.copy())

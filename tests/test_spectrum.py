@@ -201,6 +201,12 @@ def test_series_range_guards():
     # scipy returns J_149.3(1.02) = 1.3e-305 as 0, and its term is most of R
     with pytest.raises(SpectrumError, match="underflows"):
         radial_part(build_series(ModeIndex(0, 149.3)), 1.0, np.array([1.02]))
+    # binary exponents past np.ldexp's int raised OverflowError; l = 1e7
+    # (exponent 2.3e8) still reaches the Bessel functions
+    with pytest.raises(SpectrumError, match="out of range"):
+        radial_part(build_series(ModeIndex(0, 1e8 + 0.25)), 1.0, np.array([1.0]))
+    with pytest.raises(SpectrumError, match="not finite"):
+        radial_part(build_series(ModeIndex(0, 1e7 + 0.25)), 1.0, np.array([1.0]))
     # Gamma(1-l) has its poles at the positive integers
     for l in (1.0, 2.0, -1.0):
         with pytest.raises(SpectrumError, match="multiple of 1/2"):
