@@ -17,6 +17,21 @@ bitwise-identical meshes. The bar forces are scattered onto the nodes by one
 np.bincount per coordinate, which adds them in bar order from 0.0 exactly as
 a pair of np.add.at calls would, so the meshes are bit-identical to those of
 that slower formulation too.
+
+Between retriangulations the points move little, so qhull (scipy's Delaunay)
+triangulates only the seed lattice, the final clean-up, the steps a repair
+declines and meshes too small for a repair to pay (_REPAIR_MIN_POINTS). Each
+other step repairs the last triangulation, hole triangles included, by edge
+flips (Lawson, 1977): inverted hull slivers are dropped, reflex hull vertices
+filled, and every edge whose far vertex lies inside the circumcircle by 1e-9
+of the determinant's scale is flipped. The repair is kept only under a
+certificate (every triangle counter-clockwise, the hull one convex cycle,
+every edge of an interior triangle Delaunay by that margin, no centroid
+within round-off of the interior threshold), which makes its interior
+triangles qhull's. A tie, such as the co-circular trapezoids of a
+mirror-symmetric lattice, or any failed check leaves the step to qhull, so
+the bars and every mesh are byte-identical to qhull at every
+retriangulation.
 """
 
 from __future__ import annotations
@@ -143,6 +158,15 @@ def _signed_distance(p: np.ndarray, a: float, b: float) -> np.ndarray:
     return np.maximum(r - b, a - r)
 
 
+def _centroid_distance(x, y, tri, a, b):
+    """Signed distance of each triangle's centroid from the annulus, its
+    vertices summed in the triangle's order (bit for bit as np.mean)."""
+    cx = (x[tri[:, 0]] + x[tri[:, 1]] + x[tri[:, 2]]) / 3.0
+    cy = (y[tri[:, 0]] + y[tri[:, 1]] + y[tri[:, 2]]) / 3.0
+    r = np.hypot(cx, cy)
+    return np.maximum(r - b, a - r)
+
+
 def _lattice_size(b: float, h: float) -> float:
     """Point count of _hex_lattice(b, h), from its aranges' lengths, unbuilt."""
     dy = h * np.sqrt(3.0) / 2.0
@@ -203,10 +227,250 @@ _TTOL = 0.1
 _MAX_ITER = 2000
 
 
-def _interior_triangles(p: np.ndarray, a: float, b: float, geps: float) -> np.ndarray:
-    """Delaunay triangles of p whose centroid lies inside the annulus by geps."""
-    tri = Delaunay(p).simplices
-    return tri[_signed_distance(p[tri].mean(axis=1), a, b) < -geps]
+# Margin of the repair certificate, relative to each determinant's scale
+# (the sum of the magnitudes of the products it adds): an orientation or
+# incircle determinant within it is a tie that only qhull may decide.
+_MARGIN = 1e-9
+# A repair costs a fixed 0.1-0.2 ms of numpy calls, qhull about 1.5 us a
+# point: below this many points qhull is the cheaper of the two (measured
+# crossover between 70 and 83 points)
+_REPAIR_MIN_POINTS = 100
+
+
+def _delaunay(p: np.ndarray, a: float, b: float, geps: float):
+    """qhull's Delaunay triangulation of p: (triangles, neighbours, interior).
+
+    interior marks the triangles whose centroid lies inside the annulus by
+    geps, tested in qhull's vertex order. The triangles (and their rows of
+    neighbours, neighbour k opposite vertex k, -1 on the hull) are then
+    turned counter-clockwise, as intp arrays. neighbours is None when qhull
+    left a point out of the triangulation, which a repair could not put back.
+    """
+    d = Delaunay(p)
+    tri, nbr = d.simplices.astype(np.intp), d.neighbors.astype(np.intp)
+    if len(d.coplanar):
+        nbr = None
+    del d  # qhull's own arrays go before the temporaries below are made
+    interior = _centroid_distance(p[:, 0], p[:, 1], tri, a, b) < -geps
+    cw = triangle_areas(p, tri) < 0
+    if cw.any():
+        tri[cw] = tri[cw][:, [0, 2, 1]]
+        if nbr is not None:
+            nbr[cw] = nbr[cw][:, [0, 2, 1]]
+    return tri, nbr, interior
+
+
+def _orient(x, y, i, j, k):
+    """Orientation determinant of (i, j, k), positive counter-clockwise, and its scale."""
+    l = (x[j] - x[i]) * (y[k] - y[i])
+    r = (y[j] - y[i]) * (x[k] - x[i])
+    return l - r, abs(l) + abs(r)
+
+
+def _incircle(x, y, i, j, k, m):
+    """Incircle determinant of m against counter-clockwise (i, j, k), positive
+    inside the circle, and its scale."""
+    d = [(x[v] - x[m], y[v] - y[m]) for v in (i, j, k)]
+    det = scale = 0.0
+    # the lifted row of each vertex times the 2x2 minor of the next two
+    for (ax, ay), (bx, by), (cx, cy) in (d, d[1:] + d[:1], d[2:] + d[:2]):
+        lift, p, q = ax * ax + ay * ay, bx * cy, cx * by
+        det = det + lift * (p - q)
+        scale = scale + lift * (abs(p) + abs(q))
+    return det, scale
+
+
+def _interior(x, y, tri, a, b, geps):
+    """Mask of the triangles whose centroid lies inside the annulus by geps,
+    or None when a centroid lies within round-off of -geps, where qhull's
+    vertex order could tip the test the other way."""
+    dist = _centroid_distance(x, y, tri, a, b)
+    if np.any(np.abs(dist + geps) <= 1e-12 * b):
+        return None
+    return dist < -geps
+
+
+def _to_flip(x, y, tri, nbr, t, k, interior, ties):
+    """Which interior edges, opposite vertex k of triangle t, to flip: those
+    whose far vertex D lies inside the circle through t by the margin.
+
+    None when an edge of an interior triangle is within the margin: a tie,
+    whose quadruple (the vertices of t, then D) is appended to ties.
+    """
+    tf, e = tri.ravel(), 3 * t
+    s3 = 3 * nbr.ravel()[e + k]
+    quad = (tf[e + k], tf[e + (k + 1) % 3], tf[e + (k + 2) % 3])
+    quad += (tf[s3] + tf[s3 + 1] + tf[s3 + 2] - quad[1] - quad[2],)  # s's vertex off the edge
+    s = s3 // 3
+    det, scale = _incircle(x, y, *quad)
+    tie = (np.abs(det) <= _MARGIN * scale) & (interior[t] | interior[s])
+    if tie.any():
+        ties += np.column_stack(quad)[tie].tolist()
+        return None
+    return det > _MARGIN * scale
+
+
+def _repair_hull(x, y, tri, nbr):
+    """Make the hull of (tri, nbr) one convex cycle again, or return None.
+
+    Inverted triangles with one hull edge (their third vertex crossed it) are
+    dropped, and a triangle is added at each reflex hull vertex, until every
+    hull turn is left by the margin. Any other triangle that is not
+    counter-clockwise by the margin declines the repair.
+    """
+    o, scale = _orient(x, y, tri[:, 0], tri[:, 1], tri[:, 2])
+    bad = o <= _MARGIN * scale
+    if bad.any():
+        if np.any((nbr[bad] < 0).sum(axis=1) != 1) or np.any(o[bad] >= -_MARGIN * scale[bad]):
+            return None
+        # renumber the rest; a dropped triangle, like the hull's -1 (the
+        # table's last entry), becomes -1
+        keep = np.flatnonzero(~bad)
+        renumber = np.full(len(tri) + 1, -1)
+        renumber[keep] = np.arange(len(keep))
+        tri, nbr = tri[keep], renumber[nbr[keep]]
+
+    ht, hk = np.nonzero(nbr < 0)
+    hu, hv = tri[ht, (hk + 1) % 3], tri[ht, (hk + 2) % 3]  # hull edge hu -> hv, region on its left
+    nxt = dict(zip(hu.tolist(), hv.tolist()))
+    if len(nxt) != len(hu) or len(nxt) < 3:
+        return None
+    v = start = int(hu[0])
+    for steps in range(1, len(nxt) + 1):
+        v = nxt.get(v, -1)
+        if v == start:
+            break
+    if v != start or steps != len(nxt):
+        return None
+    turn, scale = _orient(x, y, hu, hv, np.array([nxt[w] for w in hv.tolist()]))
+    if np.any(np.abs(turn) <= _MARGIN * scale):
+        return None
+    if np.all(turn > 0):
+        return tri, nbr
+
+    # fill each reflex vertex v (between u and w) with the triangle (u, w, v),
+    # counter-clockwise by the margin since (u, v, w) turns right by it
+    prv = {w: u for u, w in nxt.items()}
+    owner = dict(zip(hu.tolist(), zip(ht.tolist(), hk.tolist())))
+    m = len(tri)
+    tri = np.concatenate([tri, np.zeros((len(nxt), 3), tri.dtype)])
+    nbr = np.concatenate([nbr, np.full((len(nxt), 3), -1, nbr.dtype)])
+    stack = hv[turn < 0].tolist()
+    while stack:
+        v = stack.pop()
+        if v not in nxt:
+            continue
+        u, w = prv[v], nxt[v]
+        turn, scale = _orient(x, y, u, v, w)
+        if abs(turn) <= _MARGIN * scale or len(nxt) == 3:
+            return None
+        if turn > 0:
+            continue
+        (t1, k1), (t2, k2) = owner.pop(u), owner.pop(v)
+        tri[m] = u, w, v
+        nbr[m] = t2, t1, -1
+        nbr[t1, k1] = nbr[t2, k2] = m
+        del nxt[v], prv[v]
+        nxt[u], prv[w], owner[u] = w, u, (m, 2)
+        m += 1
+        stack += [u, w]
+    return tri[:m], nbr[:m]
+
+
+def _lawson(x, y, tri, nbr, stack):
+    """Flip, in place, the edges (triangle, opposite vertex) on the stack, and
+    the edges each flip exposes, while the far vertex lies inside the
+    circumcircle by the margin. Returns the triangles changed, or None past
+    one flip per triangle."""
+    touched = set()
+    flips = 0
+    while stack:
+        t, k = stack.pop()
+        s = int(nbr[t, k])
+        if s < 0:
+            continue
+        # rows as Python lists: a flip touches a few scalars, each cheaper so
+        rt, rs, ns = tri[t].tolist(), tri[s].tolist(), nbr[s].tolist()
+        ks = ns.index(t)
+        quad = [rt[k], rt[(k + 1) % 3], rt[(k + 2) % 3], rs[ks]]
+        det, scale = _incircle(x[quad].tolist(), y[quad].tolist(), 0, 1, 2, 3)
+        if det <= _MARGIN * scale:
+            continue
+        flips += 1
+        if flips > len(tri):
+            return None
+        # the quad A B D C trades its diagonal B-C for A-D
+        A, B, C, D = quad
+        nt = nbr[t].tolist()
+        n_ab, n_ca = nt[(k + 2) % 3], nt[(k + 1) % 3]
+        n_bd, n_dc = ns[(ks + 1) % 3], ns[(ks + 2) % 3]
+        tri[t] = A, B, D
+        nbr[t] = n_bd, s, n_ab
+        tri[s] = A, D, C
+        nbr[s] = n_dc, n_ca, t
+        if n_bd >= 0:
+            nbr[n_bd, nbr[n_bd].tolist().index(s)] = t
+        if n_ca >= 0:
+            nbr[n_ca, nbr[n_ca].tolist().index(t)] = s
+        touched.update((t, s))
+        stack += [(t, 0), (t, 2), (s, 0), (s, 1)]
+    return touched
+
+
+def _repair_delaunay(x, y, tri, nbr, ties, a, b, geps):
+    """Repair the last Delaunay triangulation (tri, nbr) for moved points.
+
+    The hull is made convex again (_repair_hull), then every edge whose far
+    vertex lies inside the circumcircle by the margin is flipped (Lawson's
+    algorithm). The result is accepted only under a certificate: every
+    triangle counter-clockwise, the hull one convex cycle, every edge of an
+    interior triangle Delaunay by the margin, and no centroid within
+    round-off of -geps. Such a triangulation covers the convex hull once,
+    and each of its interior triangles is a triangle of the Delaunay
+    subdivision, so qhull would return the same interior triangles, hence
+    the same bars. The checks run over every triangle and edge before any
+    flip, and afterwards over what the flips touched.
+
+    Returns (triangles, neighbours, interior), or None for qhull to decide.
+    ties is the caller's list of vertex quadruples that were co-circular
+    when a repair last declined for a tie; while one of them still is, the
+    repair declines at once.
+    """
+    for quad in ties:
+        det, scale = _incircle(x[quad].tolist(), y[quad].tolist(), 0, 1, 2, 3)
+        if abs(det) <= _MARGIN * scale:
+            return None
+    ties.clear()
+    hull = _repair_hull(x, y, tri, nbr)
+    if hull is None:
+        return None
+    interior = _interior(x, y, hull[0], a, b, geps)
+    if interior is None:
+        return None
+    t, k = np.nonzero(hull[1] > np.arange(len(hull[1]))[:, None])
+    flip = _to_flip(x, y, *hull, t, k, interior, ties)
+    if flip is None:
+        return None
+    if not flip.any():
+        return *hull, interior
+
+    tri, nbr = (hull[0].copy(), hull[1].copy()) if hull[0] is tri else hull
+    touched = _lawson(x, y, tri, nbr, list(zip(t[flip].tolist(), k[flip].tolist())))
+    if not touched:
+        return None
+    # the checks again on what the flips changed; all else kept its verdict
+    t = np.fromiter(touched, np.intp, len(touched))
+    o, scale = _orient(x, y, *tri[t].T)
+    inner = _interior(x, y, tri[t], a, b, geps)
+    if np.any(o <= _MARGIN * scale) or inner is None:
+        return None
+    interior[t] = inner
+    t, k = np.repeat(t, 3), np.tile([0, 1, 2], len(t))
+    t, k = t[nbr[t, k] >= 0], k[nbr[t, k] >= 0]
+    flip = _to_flip(x, y, tri, nbr, t, k, interior, ties)
+    if flip is None or flip.any():
+        return None
+    return tri, nbr, interior
 
 
 def triangulate_annulus(geom: AnnulusGeometry, h: float) -> TriMesh:
@@ -242,10 +506,25 @@ def triangulate_annulus(geom: AnnulusGeometry, h: float) -> TriMesh:
     n = len(x)
     xold = yold = np.full(n, np.inf)
     maxdp = np.inf
+    # the last triangulation, kept counter-clockwise with its neighbours
+    # (hole triangles included) for the next retriangulation to repair
+    tri = nbr = None
+    ties = []
+    retriangulations = qhull_calls = 0
     for iteration in range(_MAX_ITER):
         if np.max(np.hypot(x - xold, y - yold)) > _TTOL * h:
             xold, yold = x, y
-            bars = mesh_edges(_interior_triangles(np.column_stack([x, y]), a, b, geps))
+            retriangulations += 1
+            repaired = None
+            if nbr is not None and n >= _REPAIR_MIN_POINTS:
+                repaired = _repair_delaunay(x, y, tri, nbr, ties, a, b, geps)
+            if repaired is None:
+                # free the declined triangulation before qhull builds one
+                tri = nbr = None
+                qhull_calls += 1
+                repaired = _delaunay(np.column_stack([x, y]), a, b, geps)
+            tri, nbr, interior = repaired
+            bars = mesh_edges(tri[interior])
             i, j = bars[:, 0].astype(np.intp), bars[:, 1].astype(np.intp)
             # each bar pushes +f onto node i and -f onto node j; bincount
             # adds in this order from 0.0, bit for bit as np.add.at at i
@@ -282,7 +561,8 @@ def triangulate_annulus(geom: AnnulusGeometry, h: float) -> TriMesh:
             break
     else:
         stats = {"iterations": _MAX_ITER, "max_displacement_over_h": float(maxdp / h),
-                 "vertices": n}
+                 "vertices": n, "retriangulations": retriangulations,
+                 "qhull_calls": qhull_calls}
         raise MeshConvergenceError("mesh relaxation did not settle", stats)
 
     p = np.column_stack([x, y])
@@ -294,17 +574,16 @@ def triangulate_annulus(geom: AnnulusGeometry, h: float) -> TriMesh:
     p[snap_in] *= (a / r[snap_in])[:, None]
     p[snap_out] *= (b / r[snap_out])[:, None]
 
-    tri = _interior_triangles(p, a, b, geps)
+    tri, _, interior = _delaunay(p, a, b, geps)
+    tri = tri[interior]
+    retriangulations += 1
+    qhull_calls += 1
 
     used = np.unique(tri)
     remap = -np.ones(len(p), dtype=np.int64)
     remap[used] = np.arange(len(used))
     p = p[used]
     tri = remap[tri]
-
-    areas = triangle_areas(p, tri)
-    flip = areas < 0
-    tri[flip] = tri[flip][:, [0, 2, 1]]
 
     r = np.hypot(p[:, 0], p[:, 1])
     flags = np.zeros(len(p), dtype=np.int8)
@@ -315,7 +594,8 @@ def triangulate_annulus(geom: AnnulusGeometry, h: float) -> TriMesh:
     q = triangle_quality(p, tri)
     if q.min() < 0.3:
         stats = {"iterations": iteration + 1, "min_quality": float(q.min()),
-                 "vertices": int(len(p)), "triangles": int(len(tri))}
+                 "vertices": int(len(p)), "triangles": int(len(tri)),
+                 "retriangulations": retriangulations, "qhull_calls": qhull_calls}
         raise MeshConvergenceError("mesh quality below 0.3", stats)
     return mesh
 

@@ -8,7 +8,9 @@ import pytest
 from annulus_rd import geometry
 from annulus_rd.geometry import (
     DESK_SCALE_H,
+    PAPER_FIDELITY_H,
     GeometryError,
+    MeshConvergenceError,
     build_polar_grid,
     export_mesh,
     make_annulus,
@@ -81,8 +83,10 @@ def test_triangulation_deterministic():
 
 
 # sha256 of vertices, triangles and boundary_flags, as recorded from the
-# mesher's earlier formulation (np.add.at scatter, 2-D np.unique of edges,
-# (n, 2) point array); the current loop must reproduce its meshes byte for byte
+# mesher's earlier formulations (np.add.at scatter, 2-D np.unique of edges,
+# (n, 2) point array; the last three entries from qhull at every
+# retriangulation, before the edge-flip repair); the current loop must
+# reproduce their meshes byte for byte
 MESH_GOLDEN = {
     (0.5, 1.0, 0.2): ("87e472adf2216b235a824074f8f01de74094ecf28eac52e9b2c94198cf4370d8",
                       "fb36894e3226f13fa6d729a9199b3e772f12953896834263b4fd6260f019c8e8",
@@ -97,7 +101,24 @@ MESH_GOLDEN = {
     (1.0, 2.0, 0.2): ("cb6059a88b468a152a1adf0d668ef120acf57f07b41c3ae41aa2738c0ac9bddc",
                       "eebd07521f1fd8dfad40b0f908cd02b4c5cdd337c148db0e27b5f8fd1e576423",
                       "84dfc6b259ef88e1b688d9574e89fec8ab6d5cea26f358692c3b58fcd527aed3"),
+    # the hopf-split and criterion-10 mesh
+    (0.5, 1.0, PAPER_FIDELITY_H): (
+        "1af2e9407735f21c72855f9d6eb93cf43c60b46d482f1910cdd237a61e4d5d91",
+        "797e308d0a60f905a10313bfa6587d7c7983a0617e7953e5f7082d9293212202",
+        "0601a6dc8da8403398b7306c2e548f62eee55c7f2290c6981d5ee4dc33889afb"),
+    # a thin and a thick annulus: repairs declined for ties, and accepted
+    (0.5, 0.7, 0.05): ("d9cb1d21c70dc2bc6cb85c3393a9f9c174e867c8748b58faa880c7d2af3df0ec",
+                       "b9d21faeb1d73d623ec1eefa8bb6e2d42f168ae497878f15b467c07f857cf70e",
+                       "bd834913151ae83de0e5bc6f22a17ce1fdb067b1b73e47b5aec4126516f9941e"),
+    (0.5, 2.1, 0.1): ("1417a145b6c6d2790346c671efb2caee7eaf60b583667679c7ae7665230fcbb8",
+                      "1291b33da26e896e7639f4afe40b082b370404b50ee379ba685de8739347edee",
+                      "4d106cff7a83f1341f4c169d37a83df008afeb468d30cecbab9b8ddd5ea1c6c1"),
 }
+
+
+def _digests(mesh):
+    return tuple(hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+                 for arr in (mesh.vertices, mesh.triangles, mesh.boundary_flags))
 
 
 @pytest.mark.parametrize("a, b, h", list(MESH_GOLDEN))
@@ -105,9 +126,71 @@ def test_triangulation_golden_bytes(a, b, h):
     mesh = triangulate_annulus(make_annulus(a, b), h)
     assert (mesh.vertices.dtype, mesh.triangles.dtype, mesh.boundary_flags.dtype) == (
         np.float64, np.int64, np.int8)
-    digests = tuple(hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
-                    for arr in (mesh.vertices, mesh.triangles, mesh.boundary_flags))
-    assert digests == MESH_GOLDEN[(a, b, h)]
+    assert _digests(mesh) == MESH_GOLDEN[(a, b, h)]
+
+
+@pytest.mark.parametrize("a, b, h", list(MESH_GOLDEN))
+def test_golden_bytes_with_qhull_at_every_retriangulation(monkeypatch, a, b, h):
+    # with every repair declined, qhull triangulates at every step: the
+    # reference that the accepted repairs must reproduce
+    monkeypatch.setattr(geometry, "_repair_delaunay", lambda *args: None)
+    assert _digests(triangulate_annulus(make_annulus(a, b), h)) == MESH_GOLDEN[(a, b, h)]
+
+
+def _qhull_bars(x, y, a, b, geps):
+    """mesh_edges of qhull's triangles with centroid inside by geps, computed
+    here independently of the mesher's helpers."""
+    p = np.column_stack([x, y])
+    tri = geometry.Delaunay(p).simplices
+    c = p[tri].mean(axis=1)
+    r = np.hypot(c[:, 0], c[:, 1])
+    return mesh_edges(tri[np.maximum(r - b, a - r) < -geps])
+
+
+def test_accepted_repairs_give_qhull_bars(monkeypatch):
+    accepted = []
+    real = geometry._repair_delaunay
+
+    def spy(x, y, tri, nbr, ties, a, b, geps):
+        out = real(x, y, tri, nbr, ties, a, b, geps)
+        if out is not None:
+            tri, _, interior = out
+            accepted.append(np.array_equal(mesh_edges(tri[interior]),
+                                           _qhull_bars(x, y, a, b, geps)))
+        return out
+
+    monkeypatch.setattr(geometry, "_repair_delaunay", spy)
+    triangulate_annulus(make_annulus(0.5, 1.0), DESK_SCALE_H)
+    assert len(accepted) == 20 and all(accepted)
+
+
+def test_cocircular_ties_are_left_to_qhull(monkeypatch):
+    # the mirror-symmetric lattice of (1, 2, 0.2) keeps trapezoids inside the
+    # annulus co-circular to round-off, where either diagonal is Delaunay and
+    # qhull's choice is arbitrary: the repair must decline, and qhull decide
+    events = []
+    real_repair, real_qhull = geometry._repair_delaunay, geometry.Delaunay
+
+    def repair(x, y, tri, nbr, ties, a, b, geps):
+        out = real_repair(x, y, tri, nbr, ties, a, b, geps)
+        events.append(("repair", out is None and list(ties), x.copy(), y.copy()))
+        return out
+
+    def qhull(points):
+        events.append(("qhull", points.copy()))
+        return real_qhull(points)
+
+    monkeypatch.setattr(geometry, "_repair_delaunay", repair)
+    monkeypatch.setattr(geometry, "Delaunay", qhull)
+    triangulate_annulus(make_annulus(1.0, 2.0), 0.2)
+    tied = [i for i, event in enumerate(events) if event[0] == "repair" and event[1]]
+    assert len(tied) >= 10
+    for i in tied:
+        _, ties, x, y = events[i]
+        det, scale = geometry._incircle(x, y, *np.array(ties).T)
+        assert np.all(np.abs(det) <= geometry._MARGIN * scale)
+        assert events[i + 1][0] == "qhull"
+        assert np.array_equal(events[i + 1][1], np.column_stack([x, y]))
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
@@ -125,18 +208,36 @@ def test_mesh_edges_matches_pairwise_unique(dtype):
 
 
 def test_delaunay_calls_on_desk_mesh(monkeypatch):
-    # pins the re-triangulation schedule, and that every Delaunay call goes
-    # through the module-global name (the benchmark's per-layer hook wraps it)
-    calls = []
-    real = geometry.Delaunay
+    # pins the re-triangulation schedule (29: the lattice, 27 in the loop and
+    # the final clean-up) and the qhull calls among them, and that every
+    # Delaunay call goes through the module-global name (the benchmark's
+    # per-layer hook wraps it)
+    calls, repairs = [], []
+    real_qhull, real_repair = geometry.Delaunay, geometry._repair_delaunay
 
     def counting(points):
         calls.append(len(points))
-        return real(points)
+        return real_qhull(points)
+
+    def repair(*args):
+        out = real_repair(*args)
+        repairs.append(out is not None)
+        return out
 
     monkeypatch.setattr(geometry, "Delaunay", counting)
+    monkeypatch.setattr(geometry, "_repair_delaunay", repair)
     triangulate_annulus(make_annulus(0.5, 1.0), DESK_SCALE_H)
-    assert len(calls) == 29
+    assert len(calls) + sum(repairs) == 29
+    assert len(calls) == 9
+
+
+def test_convergence_error_reports_retriangulations(monkeypatch):
+    monkeypatch.setattr(geometry, "_MAX_ITER", 40)
+    with pytest.raises(MeshConvergenceError) as err:
+        triangulate_annulus(make_annulus(0.5, 1.0), DESK_SCALE_H)
+    stats = err.value.stats
+    assert stats["iterations"] == 40
+    assert stats["retriangulations"] > stats["qhull_calls"] >= 1
 
 
 def test_triangulation_quality_and_area():
