@@ -55,6 +55,7 @@ from scipy.sparse import block_diag, bmat, coo_matrix, csr_matrix, diags
 # cg is not called here; bench/tracing.py still wraps fem.cg
 from scipy.sparse.linalg import cg, splu  # noqa: F401
 
+from ._util import SIZE_LIMIT
 from .geometry import TriMesh, triangle_areas
 from .stability import KineticParams, reaction_jacobian, reaction_terms, steady_state
 
@@ -175,6 +176,8 @@ class RunConfig:
         # the run ends after n = round(t_end/dt) steps: a later time is never
         # reached, an earlier one than t = 0 would be taken at step 1
         n = round(self.t_end / self.dt)
+        if n > SIZE_LIMIT:
+            raise FemInputError(f"t_end/dt = {n:,} steps exceeds the limit {SIZE_LIMIT:,}")
         if not all(0.0 < t and _snapshot_step(t, self.dt) <= n for t in self.snapshot_times):
             raise FemInputError(f"snapshot times must lie in (0, n dt = {n * self.dt:g}], "
                                 f"the end of the run's n = {n} steps, got {self.snapshot_times}")

@@ -30,8 +30,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import Polynomial
-from numpy.polynomial.polynomial import polycompanion
 
 from ._util import SIZE_LIMIT
 from .geometry import AnnulusGeometry
@@ -84,6 +82,17 @@ class SweepSpec:
             raise PartitionInputError(f"gamma and d must be positive and finite, got {self.gamma}, {self.d}")
         if self.form not in FORMS:
             raise PartitionInputError(f"form must be one of {FORMS}, got {self.form!r}")
+        # every partial result of _trace_det on the window stays below these
+        # bounds on |T| and |D|, taken at s = max(1, alpha + beta)
+        eta_sq = self.eta_sq
+        g, s = np.float64(self.gamma), np.float64(max(1.0, self.alpha_max + self.beta_max))
+        with np.errstate(over="ignore"):
+            c = (self.d + 1.0) * eta_sq
+            T, D = g * (s + s**3) + c, (g + eta_sq) * (g * s * s + c) + 2.0 * g * g * s * s
+            if not np.isfinite(T * T + 4.0 * D):
+                raise PartitionInputError(
+                    f"T^2 - 4D may overflow on this window: gamma={self.gamma!r}, d={self.d!r}, "
+                    f"eta^2={eta_sq!r}, alpha + beta up to {self.alpha_max + self.beta_max!r}")
 
     @property
     def alphas(self) -> np.ndarray:
@@ -169,76 +178,55 @@ def first_principles_labels(spec: SweepSpec) -> np.ndarray:
 # partitioning curves
 # ---------------------------------------------------------------------------
 
-# The cleared polynomials are built on bare coefficient arrays, lowest
-# degree first: numpy.polynomial's operators cost more in argument checks
-# than in arithmetic on polynomials this small. The helpers repeat what
-# those operators do -- np.convolve for products, the shorter array padded
-# for sums as polyutils._add pads it, trailing zeros trimmed -- with the
-# operands in the same order, so every coefficient is bit for bit the one
-# Polynomial arithmetic gives.
+# The cleared polynomials of a batch of alpha samples form one float array
+# of shape (batch, width), one row per sample, coefficients lowest degree
+# first. Sums and scalar multiples are numpy arithmetic on these rows; the
+# constant 1 and beta are rows shared by every sample.
 
-def _trim(c: np.ndarray) -> np.ndarray:
-    n = len(c)
-    while n > 1 and c[n - 1] == 0:
-        n -= 1
-    return c[:n]
+def _rows(alphas: np.ndarray, width: int):
+    """The rows 1, alpha, beta and s = alpha + beta, for each alpha sample."""
+    one, beta = np.eye(width)[:2]
+    alpha = alphas[:, None] * one
+    return one, alpha, beta, alpha + beta
 
 
-def _mul(c1, c2) -> np.ndarray:
-    return _trim(np.convolve(c1, c2))
+def _mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Row by row product of two coefficient arrays of one width, whose degree
+    stays below that width."""
+    width = p.shape[-1]
+    out = np.zeros(np.broadcast_shapes(p.shape, q.shape))
+    for j in range(width):
+        out[..., j:] += p[..., :width - j] * q[..., j:j + 1]
+    return out
 
 
-def _add(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    if len(c1) > len(c2):
-        out = c1.copy()
-        out[:len(c2)] += c2
-    else:
-        out = c2.copy()
-        out[:len(c1)] += c1
-    return _trim(out)
+def _cleared_trace(spec: SweepSpec, eta_sq: float, alphas: np.ndarray, width: int = 4) -> np.ndarray:
+    """s*T as cubics in beta; multiplying by s = beta + alpha > 0 keeps the roots."""
+    _, alpha, beta, s = _rows(alphas, width)
+    return spec.gamma * (beta - alpha - _mul(_mul(s, s), s)) - (spec.d + 1.0) * eta_sq * s
 
 
-def _sub(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    # x - y and x + (-y) are the same IEEE operation
-    return _add(c1, -c2)
-
-
-def _cleared_trace(spec: SweepSpec, eta_sq: float, alpha: float) -> Polynomial:
-    """s*T as a cubic in beta; multiplying by s = beta + alpha > 0 keeps the roots."""
-    # gamma (beta - alpha - s^3) - (d+1) eta^2 s
-    s = np.array([alpha, 1.0])
-    return Polynomial(_sub(_mul([spec.gamma], _sub(np.array([-alpha, 1.0]), _mul(_mul(s, s), s))),
-                           _mul([(spec.d + 1.0) * eta_sq], s)))
-
-
-def _cleared_discriminant(spec: SweepSpec, eta_sq: float, alpha: float) -> Polynomial:
-    """s^2 (T^2 - 4D) as a degree-6 polynomial in beta, from _cleared_trace."""
-    s = np.array([alpha, 1.0])
+def _cleared_discriminant(spec: SweepSpec, eta_sq: float, alphas: np.ndarray) -> np.ndarray:
+    """s^2 (T^2 - 4D) = (sT)^2 - 4s (sD) as degree-6 polynomials in beta."""
+    one, alpha, beta, s = _rows(alphas, 7)
     s2 = _mul(s, s)
     gamma = spec.gamma
     c = _det_diffusivity(spec.d, spec.form)
     # s * D, from D = (gamma (beta-alpha)/s - eta^2)(-gamma s^2 - c eta^2) + 2 gamma^2 beta s
-    sD = _add(_mul(_sub(_mul([gamma], np.array([-alpha, 1.0])), _mul([eta_sq], s)),
-                   _sub(_mul([-gamma], s2), np.array([c * eta_sq]))),
-              _mul(_mul([2.0 * gamma * gamma], [0.0, 1.0]), s2))
-    trace = _cleared_trace(spec, eta_sq, alpha).coef
-    return Polynomial(_sub(_mul(trace, trace), _mul(_mul([4.0], s), sD)))
+    sD = _mul(gamma * (beta - alpha) - eta_sq * s, -gamma * s2 - c * eta_sq * one) \
+        + 2.0 * gamma * gamma * _mul(beta, s2)
+    sT = _cleared_trace(spec, eta_sq, alphas, 7)
+    return _mul(sT, sT) - 4.0 * _mul(s, sD)
 
 
-def _companion_roots(polys: list[Polynomial]) -> list[np.ndarray]:
-    """p.roots() for each polynomial p, with one eigvals call for all.
-
-    Polynomial.roots sorts the eigenvalues of polycompanion(p.coef), and
-    its domain map 0 + 1*r can only flip the sign of a zero part, so one
-    eigvals call on the stacked companion matrices gives the same roots.
-    Unless every coefficient array has one length of 3 or more and a
-    nonzero last entry, each p.roots() is taken instead.
-    """
-    coefs = [p.coef for p in polys]
-    n = len(coefs[0]) if coefs else 0
-    if n < 3 or any(len(c) != n or c[-1] == 0 for c in coefs):
-        return [p.roots() for p in polys]
-    return list(np.sort(np.linalg.eigvals(np.array([polycompanion(c) for c in coefs])), axis=-1))
+def _companion_roots(coefs: np.ndarray) -> np.ndarray:
+    """Sorted roots of each row's polynomial (nonzero last coefficient), from one
+    eigvals call on the companion matrices numpy.polynomial builds."""
+    batch, n = len(coefs), coefs.shape[1] - 1
+    mat = np.zeros((batch, n, n))
+    mat[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+    mat[:, :, -1] -= coefs[:, :-1] / coefs[:, -1:]
+    return np.sort(np.linalg.eigvals(mat), axis=-1)
 
 
 def _real_roots_in(roots: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -329,14 +317,17 @@ _CURVE_BATCH = 256
 def _curve(spec: SweepSpec, alpha_samples, what: str, cleared, defining) -> np.ndarray:
     """Dual-method roots in beta of one defining function, per alpha sample.
 
-    cleared(spec, eta_sq, alpha) builds the function's cleared polynomial
-    in beta; defining(T, D) returns the function's value and the scale its
-    tangency residual is measured against. Every sample is checked against
-    the window before anything is evaluated. The samples then go in
-    batches of _CURVE_BATCH: a batch's companion roots come from one
-    eigvals call (_companion_roots) and its bisection brackets are halved
-    together (_bisect_roots); the two root sets are reconciled sample by
-    sample, in sample order. Points come sorted, as an (n, 2) array.
+    cleared(spec, eta_sq, alphas) builds the function's cleared polynomials
+    in beta, one coefficient row per sample; defining(T, D) returns the
+    function's value and the scale its tangency residual is measured
+    against. Every sample is checked against the window before anything is
+    evaluated. The samples then go in batches of _CURVE_BATCH: a batch's
+    polynomials come from one cleared call, their companion roots from one
+    eigvals call (_companion_roots), which a polynomial refuses if its
+    companion matrix is not finite or its leading coefficient not a normal
+    float, and the bisection brackets are halved together (_bisect_roots);
+    the two root sets are reconciled sample by sample, in sample order.
+    Points come sorted, as an (n, 2) array.
     """
     alphas = np.atleast_1d(np.asarray(alpha_samples, dtype=np.float64))
     outside = ~((spec.alpha_min <= alphas) & (alphas <= spec.alpha_max))
@@ -351,7 +342,14 @@ def _curve(spec: SweepSpec, alpha_samples, what: str, cleared, defining) -> np.n
     points = []
     for start in range(0, len(alphas), _CURVE_BATCH):
         batch = alphas[start:start + _CURVE_BATCH]
-        proots = _companion_roots([cleared(spec, eta_sq, alpha) for alpha in batch])
+        coefs = cleared(spec, eta_sq, batch)
+        with np.errstate(all="ignore"):
+            finite = np.isfinite(coefs).all() and np.isfinite(coefs[:, :-1] / coefs[:, -1:]).all()
+        if not (finite and np.abs(coefs[:, -1]).min() >= np.finfo(np.float64).tiny):
+            raise PartitionInputError(
+                f"{what} at gamma={spec.gamma!r}, d={spec.d!r}: the cleared polynomial in beta "
+                f"has no finite companion matrix (leading coefficient {float(coefs[0, -1])!r})")
+        proots = _companion_roots(coefs)
         broots = _bisect_roots(lambda alpha, beta: value_scale(alpha, beta)[0],
                                batch, spec.beta_min, spec.beta_max)
         for alpha, roots, bisected in zip(batch, proots, broots):

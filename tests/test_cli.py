@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import annulus_rd
-from annulus_rd import cli, fem, geometry, spectrum, verify
+from annulus_rd import cli, fem, geometry, partition, spectrum, verify
+from annulus_rd.stability import StabilityLabel
 from annulus_rd.verify import REFERENCE_ETA
 
 # The directory that holds the package this process imported. The child runs
@@ -232,6 +233,28 @@ def test_domain_errors(tmp_path, monkeypatch, capsys):
         assert "E_DOMAIN:" in err and what in err and "finite" in err
         assert not [p for p in (tmp_path / "inf").rglob("*") if p.is_file()], args
 
+    # T or D overflowing a float wrote an all-DiscriminantCurve map (exit 0),
+    # or failed on numpy's "Array must not contain infs or NaNs" (exit 4),
+    # after numpy overflow warnings; so did a cleared discriminant whose
+    # leading coefficient gamma^2 is subnormal, or whose companion matrix
+    # overflows when divided by it
+    for args, value in ((("classify", "--gamma", "1e200"), "gamma=1e+200"),
+                        (("classify", "--d", "1e300"), "d=1e+300"),
+                        (("curves", "--gamma", "1e200"), "gamma=1e+200"),
+                        (("curves", "--d", "1e300"), "d=1e+300"),
+                        (("curves", "--gamma", "1e-160"), "gamma=1e-160"),
+                        (("curves", "--gamma", "1e-150", "--d", "1e10"), "gamma=1e-150")):
+        code, err = main_exit(monkeypatch, capsys, *args, "--out", "vast")
+        assert code == 4, err
+        assert err.startswith("E_DOMAIN:") and value in err and err.count("\n") == 1, args
+        assert not written_files(tmp_path / "vast")
+    # the sweep builds no companion matrix, so a subnormal gamma^2 labels fine
+    code, err = main_exit(monkeypatch, capsys, "classify", "--gamma", "1e-160",
+                          "--n-alpha", "20", "--n-beta", "20", "--out", "tiny")
+    assert code == 0, err
+    labels = partition.import_region_labels(tmp_path / "tiny" / "region.csv", 20, 20)
+    assert (labels == partition.LABEL_CODES[StabilityLabel.STABLE_NODE]).all()
+
     # runaway sizes are refused before anything is allocated
     for args, limit in ((("classify", "--n-alpha", "100000", "--n-beta", "100000"), "4,000,000"),
                         (("eigenmode", "--resolution", "100000"), "2048")):
@@ -252,11 +275,12 @@ def test_domain_errors(tmp_path, monkeypatch, capsys):
     (("curves", "--n-samples", "1000000000"), (np, "linspace")),
     (("mesh", "--h", "1e-5"), (geometry, "_hex_lattice")),
     (("simulate", "--h", "1e-5"), (geometry, "_hex_lattice")),
+    (("simulate", "--t-end", "1e12"), (fem, "simulate")),
 ])
 def test_runaway_sizes_refused_before_allocation(tmp_path, monkeypatch, capsys, unreached,
                                                  argv, site):
     # each would allocate 8 GB or more: a list of 1e9 ints, 1e9 doubles,
-    # or a seed lattice of about 4.6e10 points
+    # a seed lattice of about 4.6e10 points, or a run of 1e15 steps
     monkeypatch.setattr(*site, unreached(site[1]))
     code, err = main_exit(monkeypatch, capsys, *argv, "--out", str(tmp_path / "o"))
     assert code == 4, err

@@ -327,29 +327,24 @@ def test_bisect_roots_of_the_discriminant():
         assert np.allclose(roots, want, rtol=0.0, atol=1e-13), alpha
 
 
-def _random_polys(*lengths):
-    rng = np.random.default_rng(20261019)
-    return [Polynomial(rng.normal(size=n)) for n in lengths]
+def _random_coefs(rows, width):
+    return np.random.default_rng(20261019).normal(size=(rows, width))
 
 
 @pytest.mark.parametrize("polys", [
-    _random_polys(4, 4, 4),
-    _random_polys(7, 7) + [partition._cleared_discriminant(_spec(21.0, 8.0), 3.7, 0.4)],
-    [],
-    # mixed lengths, a zero last coefficient, linear and constant arrays
-    _random_polys(4, 7, 4),
-    _random_polys(4, 4) + [Polynomial([2.0, -3.0, 1.0, 0.0])],
-    _random_polys(2, 2),
-    _random_polys(1),
+    _random_coefs(3, 4),
+    np.vstack([_random_coefs(2, 7),
+               partition._cleared_discriminant(_spec(21.0, 8.0), 3.7, np.array([0.4]))]),
+    np.empty((0, 7)),
 ])
 def test_companion_roots_match_polynomial_roots(polys):
-    # each result equals p.roots(), whose domain map 0 + 1*r can only
-    # differ in the sign of a zero part
+    # each row of roots equals Polynomial(row).roots(), whose domain map
+    # 0 + 1*r can only differ in the sign of a zero part
     got = partition._companion_roots(polys)
-    assert len(got) == len(polys)
-    for p, roots in zip(polys, got):
-        want = p.roots()
-        assert roots.shape == want.shape and np.array_equal(roots, want), p
+    assert got.shape == (len(polys), polys.shape[1] - 1)
+    for row, roots in zip(polys, got):
+        want = Polynomial(row).roots()
+        assert np.array_equal(roots, want), row
 
 
 @pytest.mark.parametrize("curve", [discriminant_curve, transcritical_curve])
@@ -376,14 +371,19 @@ def test_curve_batches_bound_the_bisection_grid(monkeypatch, curve):
     assert batched.tobytes() == curve(spec, alphas).tobytes()
 
 
+def _row_by_row(cleared, operation):
+    """cleared with operation applied to each row's Polynomial."""
+    return lambda *args: np.array([operation(Polynomial(row)).coef for row in cleared(*args)])
+
+
 def _shifted(cleared):
     """cleared with every root moved up by 1e-3."""
-    return lambda *args: cleared(*args)(Polynomial([-1e-3, 1.0]))
+    return _row_by_row(cleared, lambda p: p(Polynomial([-1e-3, 1.0])))
 
 
 def _extra_root(cleared):
     """cleared with one more root, at beta = 0.25, where neither curve passes."""
-    return lambda *args: cleared(*args) * Polynomial([-0.25, 1.0])
+    return _row_by_row(cleared, lambda p: p * Polynomial([-0.25, 1.0]))
 
 
 @pytest.mark.parametrize("fault, message", [
@@ -404,6 +404,27 @@ def test_curve_cross_check_failures(monkeypatch, fault, message, builder, curve,
     assert not isinstance(info.value, ValueError)  # a failed computation, exit 5
 
 
+@pytest.mark.parametrize("builder, curve", [
+    ("_cleared_discriminant", discriminant_curve),
+    ("_cleared_trace", transcritical_curve),
+])
+def test_curve_builds_each_batch_once(monkeypatch, builder, curve):
+    # one builder call per batch of samples, in sample order
+    spec = _spec(21.0, 8.0)
+    batch = partition._CURVE_BATCH
+    alphas = np.linspace(0.005, 1.0, 2 * batch + batch // 2)
+    cleared, calls = getattr(partition, builder), []
+
+    def spy(spec, eta_sq, batch_alphas, *args):
+        calls.append(batch_alphas.copy())
+        return cleared(spec, eta_sq, batch_alphas, *args)
+
+    monkeypatch.setattr(partition, builder, spy)
+    curve(spec, alphas)
+    assert [len(c) for c in calls] == [batch, batch, batch // 2]
+    assert np.concatenate(calls).tobytes() == alphas.tobytes()
+
+
 def _reference_trace(spec, eta_sq, alpha):
     beta = Polynomial([0.0, 1.0])
     s = beta + alpha
@@ -422,20 +443,26 @@ def _reference_discriminant(spec, eta_sq, alpha):
 
 @pytest.mark.parametrize("form", ["consistent", "paper-literal"])
 def test_cleared_polynomials_match_polynomial_arithmetic(form):
-    # the coefficient-array builders against the same formulas written with
-    # numpy.polynomial operators: equal to the bit, trimmed to the same degree;
+    # each row of the batched builders against the same formula written with
+    # numpy.polynomial operators, one alpha at a time: the same degree, and
+    # every coefficient within round-off, 1e-14 of the row's largest one;
     # eta_sq = gamma zeroes the leading term of the first factor of s*D
     rng = np.random.default_rng(20261018)
+    alphas = np.array([0.005, 1.0, *rng.uniform(0.005, 1.0, 5)])
     for gamma, d in ((21.0, 8.0), (1.0, 1.4), (730.0, 5.0), *rng.uniform(0.1, 300.0, (3, 2))):
         spec = SweepSpec(0.005, 1.0, 0.005, 1.0, 2, 2, gamma, d, MODE, GEOM, form)
         for eta_sq in (0.0, spec.eta_sq, gamma, *rng.uniform(0.0, 60.0, 2)):
-            for alpha in (0.005, 1.0, *rng.uniform(0.005, 1.0, 5)):
-                for built, reference in ((partition._cleared_trace, _reference_trace),
-                                         (partition._cleared_discriminant,
-                                          _reference_discriminant)):
-                    got = built(spec, eta_sq, alpha).coef.tobytes()
-                    want = reference(spec, eta_sq, alpha).coef.tobytes()
-                    assert got == want, (built.__name__, gamma, d, eta_sq, alpha)
+            for built, reference, width in ((partition._cleared_trace, _reference_trace, 4),
+                                            (partition._cleared_discriminant,
+                                             _reference_discriminant, 7)):
+                rows = built(spec, eta_sq, alphas)
+                assert rows.shape == (len(alphas), width)
+                for alpha, got in zip(alphas, rows):
+                    want = reference(spec, eta_sq, alpha).coef
+                    assert len(want) == width and got[-1] != 0.0
+                    bound = 1e-14 * np.abs(want).max()
+                    assert np.all(np.abs(got - want) <= bound), (built.__name__, gamma, d,
+                                                                 eta_sq, alpha)
 
 
 # sha256 of build_curves(...).discriminant / .transcritical bytes over the
@@ -443,19 +470,19 @@ def test_cleared_polynomials_match_polynomial_arithmetic(form):
 # pairs of the plane-analysis benchmark, and the first in paper-literal form
 CURVE_GOLDEN = {
     (21.0, 8.0, "consistent"): (
-        "49ae7e7c913719c6983cfe914d13349eb259b2e6aa767ec536f5a5a382fe29bb",
+        "7ef30e54058c0fcb779a8d5401fb19cb12e0671be67294fb47a7192845a06206",
         "ea0f76a34a7dbc3e852b04bbf681c3c9814651284d28522737707448607e5b4f"),
     (1.0, 1.4, "consistent"): (
-        "b97db46c7839ba783e9b3fa3066417d4ee112908eb11c01331ec8fb7a4c5506c",
+        "386c279235de5b849c114a507cff802274a02fe7a40fb3ff7a2566c65c76be8b",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (250.0, 10.0, "consistent"): (
-        "3ab3438e0eae79cc2375c2de41bf6ccf39d3f09cc76baae6cbbac6e63283009d",
+        "14c2d55eeb6a8414171a7686aa9ef4594bdfca47ee5b66f03a6fce57ae302bfa",
         "630fbff88c1e79dfcde07769e148e03448452b7dd71bb517be18f2aea7496532"),
     (730.0, 5.0, "consistent"): (
-        "79474a105b890830cda558aa7561f0badb6213beb7dbb1951de6b8709291bd52",
+        "83478a82358bd0c2840cb43cfad4df6501040a56cf50f97849d667480bba1794",
         "725adc72df7a697bd3d5d3cdec7a5b16df121c6040df594d69696cc6619e80d9"),
     (21.0, 8.0, "paper-literal"): (
-        "221e29143b3846a8ed5571225f95242a3c96792204a3aeee044c5fe4dfaec202",
+        "a1d737ae2936ec9f88e1b06654de8c4c256a91dda2748ba78a23e47f294df6b1",
         "aa80c8a85554cb2accaf80917d87fc6a5dd98e09fb6c330b5ce9d396acee9416"),
 }
 
@@ -468,6 +495,74 @@ def test_curves_golden_bytes(gamma, d, form):
                     for points in (curves.discriminant, curves.transcritical))
     assert digests == CURVE_GOLDEN[(gamma, d, form)]
 
+
+
+# beta roots of T^2 = 4D (discriminant) and of T = 0 with D > 0
+# (transcritical) on the curves window at mode (0, 0.27), computed at 50
+# digits by tools/oracle_goldens.py ("partitioning curves"):
+# (gamma, d, form) -> alpha -> (discriminant betas, transcritical betas)
+CURVE_ORACLE = {
+    (21.0, 8.0, "consistent"): {
+        0.005: ((0.61516039780654772689,),
+                (0.70152592449130119591,)),
+        0.1: ((0.027892875577899463455, 0.092794538211958063339, 0.36438586762533800384),
+              ()),
+        0.2: ((0.035999447711450187865,),
+              ()),
+        0.3: ((0.034451089825162504339,),
+              ()),
+        0.4: ((0.027804373245039441181,),
+              ()),
+        0.6: ((0.0097260922062353361746,),
+              ()),
+        0.8: ((),
+              ()),
+    },
+    (730.0, 5.0, "consistent"): {
+        0.005: ((0.0051430530107946025663, 0.40365118944552487833),
+                (0.0050952513275756036199, 0.9852363628930205536)),
+        0.1: ((0.054909251614719906735,),
+              (0.11142396386384055579, 0.77262414848550955643)),
+        0.2: ((0.071424186876625492415,),
+              ()),
+        0.3: ((0.072606554062448596332,),
+              ()),
+        0.4: ((0.065700121911509922894,),
+              ()),
+        0.6: ((0.040650087793729523325,),
+              ()),
+        0.8: ((0.013657976046713385524,),
+              ()),
+    },
+    (21.0, 8.0, "paper-literal"): {
+        0.005: ((0.6513349121456967334,),
+                (0.70152592449130119591,)),
+        0.1: ((0.0087946422652401171076, 0.098920111992535165266, 0.41023627961294879579),
+              ()),
+        0.2: ((0.010934925705898689368,),
+              ()),
+        0.3: ((0.006574468549812957066,),
+              ()),
+        0.4: ((),
+              ()),
+        0.6: ((),
+              ()),
+        0.8: ((),
+              ()),
+    },
+}
+
+
+@pytest.mark.parametrize("gamma, d, form", list(CURVE_ORACLE))
+def test_curves_match_mpmath_roots(gamma, d, form):
+    # accuracy against an independent high-precision root, not against the
+    # bits of an earlier build: every point, within 1e-13 in beta
+    spec = SweepSpec(0.005, 0.995, 0.005, 1.0, 2, 2, gamma, d, MODE, GEOM, form)
+    for alpha, roots in CURVE_ORACLE[(gamma, d, form)].items():
+        curves = build_curves(spec, [alpha])
+        for points, want in zip((curves.discriminant, curves.transcritical), roots):
+            assert np.array_equal(points[:, 0], np.full(len(want), alpha)), alpha
+            assert np.abs(points[:, 1] - want).max(initial=0.0) <= 1e-13, (alpha, points)
 
 def test_frozen_cell_values():
     spec = _spec(21.0, 8.0)

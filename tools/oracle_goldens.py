@@ -52,6 +52,22 @@ def trace_det(alpha, beta, gamma, d, e2, form):
     return T, D
 
 
+def curve_roots(fn, lo=mp.mpf("0.005"), hi=mp.mpf(1), samples=400):
+    """Simple roots in beta of fn on [lo, hi]: sign changes on a uniform
+    grid, each refined by findroot's Anderson bracketing solver."""
+    grid = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
+    vals = [fn(b) for b in grid]
+    roots = []
+    for b0, b1, f0, f1 in zip(grid, grid[1:], vals, vals[1:]):
+        if f0 == 0:
+            roots.append(b0)
+        elif f0 * f1 < 0:
+            roots.append(mp.findroot(fn, (b0, b1), solver="anderson"))
+    if vals[-1] == 0:
+        roots.append(grid[-1])
+    return roots
+
+
 def radial_series(l, x, jmax=250):
     """Power-series radial part with C0 = 1 (sum of both signed-order series)."""
     l = mp.mpf(l)
@@ -149,6 +165,24 @@ def main():
     show("T", Tc)
     show("D", Dc)
     show("disc", Tc * Tc - 4 * Dc)
+
+    print("== partitioning curves at mode (0, 0.27), beta in [0.005, 1] ==")
+    # alpha, gamma, d and l enter as the doubles the package is given;
+    # discriminant: T^2 = 4D; transcritical: T = 0 where D > 0
+    e2_027f = eta_sq(0, mp.mpf(0.27), a, b)
+    for ga, d, form in [(21, 8, "consistent"), (730, 5, "consistent"), (21, 8, "paper-literal")]:
+        for al in (0.005, 0.1, 0.2, 0.3, 0.4, 0.6, 0.8):
+            def disc(be):
+                T, D = trace_det(al, be, ga, d, e2_027f, form)
+                return T * T - 4 * D
+
+            def trace(be):
+                return trace_det(al, be, ga, d, e2_027f, form)[0]
+
+            onset = [r for r in curve_roots(trace) if trace_det(al, r, ga, d, e2_027f, form)[1] > 0]
+            for name, roots in (("discriminant", curve_roots(disc)), ("transcritical", onset)):
+                for r in roots:
+                    show(f"{name} beta ({ga},{d},{form}) alpha={al}", r, 20)
 
     print("== thickness bounds (a=1/2) ==")
 
