@@ -20,17 +20,21 @@ kinetics (group finite elements) take one of two RunConfig.kinetics forms:
                   stiff reaction episodes (relaxation oscillations) are
                   integrated accurately. Default.
     "implicit"  - fully implicit backward Euler solved by a chord Newton
-                  iteration. Each step starts from the linear extrapolation
-                  2 u^n - u^(n-1) and applies at least one correction; the
-                  LU-factored Jacobian is reused across steps and refreshed
-                  when a correction contracts the residual less than
-                  tenfold or has been used six times in one step. Strong
-                  damping: steady attractors are found even at coarse dt, but
-                  genuine temporal oscillations are flattened; use for
-                  pattern-formation runs, not for limit-cycle studies.
-                  It factors its Jacobian in SuperLU's symmetric mode
-                  (minimum degree on J + J^T, diagonal pivots preferred);
-                  the diffusion factors of "split" keep COLAMD.
+                  iteration. Each step starts from the quadratic
+                  extrapolation 3 u^n - 3 u^(n-1) + u^(n-2) (linear on the
+                  second step, u^n on the first) and applies at least one
+                  correction; the LU-factored Jacobian is reused across
+                  steps and refreshed, by rewriting its values on a sparsity
+                  pattern fixed per run, when a correction contracts the
+                  residual less than tenfold or has been used six times in
+                  one step. Strong damping: steady attractors are found even
+                  at coarse dt, but genuine temporal oscillations are
+                  flattened; use for pattern-formation runs, not for
+                  limit-cycle studies.
+
+Every LU factor, the Jacobian and the diffusion factors of "split" alike,
+is ordered in SuperLU's symmetric mode (minimum degree on A + A^T,
+diagonal pivots preferred).
 
 Both work on one stacked state w = [u; v]. Kinetics frozen at the old state
 (forward Euler) is not offered: with the stiff activator kinetics it is
@@ -51,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import block_diag, bmat, coo_matrix, csr_matrix, diags
+from scipy.sparse import block_diag, coo_matrix, csc_matrix, csr_matrix, diags, hstack
 # cg is not called here; bench/tracing.py still wraps fem.cg
 from scipy.sparse.linalg import cg, splu  # noqa: F401
 
@@ -185,59 +189,105 @@ class RunConfig:
             raise FemInputError(f"kinetics must be 'split' or 'implicit', got {self.kinetics!r}")
 
 
+def _splu(A):
+    """LU-factor the CSC matrix A with the one ordering every factor of a run uses.
+
+    SuperLU's symmetric mode: minimum degree on A + A^T, diagonal pivots
+    preferred. All the matrices factored here are structurally symmetric
+    (each block carries the mesh graph); on the desk mesh's Jacobian this
+    fills 28% less than COLAMD, on the reference mesh's A_v 21% less.
+    diag_pivot_thresh stays at its default 1.0: the pivots of stiff states
+    (large dt gamma u^2) are not safe to take from the diagonal.
+    """
+    return splu(A, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
+
+
+def _jacobian_pattern(A2, M):
+    """The fixed CSC pattern of J = A2 - a M2 D and the parts of its values.
+
+    The pattern is the structural union of A2's and that of
+    [[M, M], [M, M]]; a lumped M puts only diagonals into the off-diagonal
+    blocks. Returns J, holding no values yet, and per stored entry its A2
+    value, its M value (both 0 outside their pattern) and the index of its
+    derivative D_st(j) in the stacked [f_u; f_v; g_u; g_v].
+    """
+    n, n2 = M.shape[0], A2.shape[0]
+    a2, m = A2.tocoo(), M.tocoo()
+    blocks = [(s, t) for s in (0, 1) for t in (0, 1)]
+    m_rows = np.concatenate([m.row + s * n for s, t in blocks]).astype(np.int64)
+    m_cols = np.concatenate([m.col + t * n for s, t in blocks]).astype(np.int64)
+    # column-major keys: sorted, they are the entries in CSC order
+    keys_a2 = a2.col.astype(np.int64) * n2 + a2.row
+    keys_m = m_cols * n2 + m_rows
+    keys = np.union1d(keys_a2, keys_m)
+    cols, rows = np.divmod(keys, n2)
+    indptr = np.searchsorted(cols, np.arange(n2 + 1))
+    J = csc_matrix((np.zeros(len(keys)), rows, indptr), shape=(n2, n2))
+    a2_values, m_values = np.zeros(len(keys)), np.zeros(len(keys))
+    derivative = np.zeros(len(keys), dtype=np.intp)
+    a2_values[np.searchsorted(keys, keys_a2)] = a2.data
+    at_m = np.searchsorted(keys, keys_m)
+    m_values[at_m] = np.tile(m.data, 4)
+    derivative[at_m] = np.concatenate([(2 * s + t) * n + m.col for s, t in blocks])
+    return J, a2_values, m_values, derivative
+
+
 class _Stepper:
     """Caches per-run matrices and factorizations across steps.
 
     Both kinetics treatments work on the stacked state w = [u; v], with
     F(w) = [f; g] the nodal reaction terms and M2 = diag(M, M), and share
-    the implicit-diffusion systems A_u = M + dt K and A_v = M + dt d K,
-    which "split" LU-factors once, here.  The uniform steady state stays a
-    fixed point: the nodal kinetics vanish there and A 1 = M 1 (K 1 = 0),
-    so the LU solve returns it up to round-off (criterion 8 bounds the
-    drift).
+    the implicit-diffusion systems A_u = M + dt K and A_v = M + dt d K.
+    Every LU factor of a run goes through _splu, in SuperLU's symmetric
+    mode.  The uniform steady state stays a fixed point: the nodal
+    kinetics vanish there and A 1 = M 1 (K 1 = 0), so the LU solve returns
+    it up to round-off (criterion 8 bounds the drift).
 
-    "split" integrates the nodal ODE w' = gamma F(w) over each half
-    interval with classical RK4, subdividing so that the local rate bound
-    (a bound on the spectral radius of gamma dF) times the substep stays
-    near 0.5, well inside the RK4 stability region.  Relaxation spikes at
-    gamma ~ 7e2 are resolved by a few dozen substeps on the worst steps.
-    Its four stages, the stage argument and the weighted stage sum live in
-    six buffers allocated once per run; each interval copies its starting
-    state once and then updates it in place, with the operations and their
-    order of the allocating RK4 formula, so the results are bit-identical
-    to it.  kinetics_substeps counts the RK4 substeps of the run.
+    "split" LU-factors A_u and A_v once, here, and integrates the nodal
+    ODE w' = gamma F(w) over each half interval with classical RK4,
+    subdividing so that the local rate bound (a bound on the spectral
+    radius of gamma dF, the larger absolute row sum of dF) times the
+    substep stays near 0.5, well inside the RK4 stability region.
+    Relaxation spikes at gamma ~ 7e2 are resolved by a few dozen substeps
+    on the worst steps.  Its four stages, the stage argument and the
+    weighted stage sum live in six buffers allocated once per run; each
+    interval copies its starting state once and then updates it in place,
+    with the operations and their order of the allocating RK4 formula, so
+    the results are bit-identical to it.  kinetics_substeps counts the RK4
+    substeps of the run.
 
     "implicit" solves the full backward-Euler system with a chord Newton
     iteration, with A2 = diag(A_u, A_v) built once per run: its residual
-    is A2 w - M2 w^n - dt gamma M2 F(w).  The block Jacobian
-    A2 - dt gamma M2 dF is structurally symmetric (each block carries the
-    mesh graph), so splu orders it in symmetric mode (MMD on J + J^T),
-    which on the desk mesh fills 28% less than COLAMD; partial pivoting
-    keeps its default threshold.  It is LU-factorized at the first step and
-    reused across steps while the iteration contracts (the simplified
-    Newton rule of Hairer & Wanner, Solving ODEs II, IV.8): it is refreshed
-    at the current iterate when the contraction rate theta = res / res_prev
-    of the last correction exceeds _NEWTON_THETA_MAX, or when the factor
-    has made _NEWTON_MAXUSES corrections in one step, so that a stiff step
-    does not crawl.  The residual is divided by the lumped mass, which
-    makes it a nodal rate in the units of w, so the convergence test
+    A2 w - M2 (w^n + dt gamma F(w)) is one product of [A2, -M2] with a
+    buffer allocated once per run.  The block Jacobian A2 - dt gamma M2 dF
+    lives on a CSC pattern fixed per run (_jacobian_pattern); a refresh
+    only rewrites its values, bit-identical to the sparse products that
+    would form them.
+    It is LU-factorized at the first step and reused across steps while
+    the iteration contracts (the simplified Newton rule of Hairer &
+    Wanner, Solving ODEs II, IV.8): it is refreshed at the current iterate
+    when the contraction rate theta = res / res_prev of the last correction
+    exceeds _NEWTON_THETA_MAX, or when the factor has made _NEWTON_MAXUSES
+    corrections in one step, so that a stiff step does not crawl.  The
+    residual is divided by the lumped mass, which makes it a nodal rate in
+    the units of w, so the convergence test
     max|R_i / m_i| < _NEWTON_RTOL max(1, max|w^n|) leaves about the same
     relative error in the state on every mesh.  A step that directly
-    follows the previous one starts from the extrapolation
-    2 u^n - u^(n-1), any other from u^n, as does a step whose
+    follows two consecutive steps starts from the quadratic extrapolation
+    3 w^n - 3 w^(n-1) + w^(n-2), one that follows a single step from the
+    linear 2 w^n - w^(n-1), any other from w^n, as does a step whose
     extrapolated residual is not finite.  Every step applies at least one
     correction, even when its start already meets the tolerance, so the
     extrapolation error never reaches the state.  The iteration is
     non-monotone by design; it is declared failed only after the
-    refactorization budget is spent.  Its residual's reaction terms are
-    written into one buffer allocated per run.
+    refactorization budget is spent.
     factorizations and lu_solves count splu calls and factor solves.
     """
 
     _NEWTON_MAXITER = 40
     _NEWTON_MAXFACTOR = 4
     # chosen by measurement (CHANGES.md): the rtol keeps each step within
-    # 3.2e-9 of full Newton on the coarse test mesh; theta and the use cap
+    # 3.1e-9 of full Newton on the coarse test mesh; theta and the use cap
     # take the pattern-implicit run from 77 factorizations to 17
     _NEWTON_RTOL = 5e-10
     _NEWTON_THETA_MAX = 0.1
@@ -256,17 +306,23 @@ class _Stepper:
         self.kinetics_substeps = 0  # RK4 substeps over the run
         n2 = 2 * M.shape[0]
         if config.kinetics == "implicit":
-            self.A2 = block_diag((self.A_u, self.A_v), format="csr")
-            self._f = np.empty(n2)  # [f; g] of the Newton residual
+            A2 = block_diag((self.A_u, self.A_v), format="csr")
+            self._jacobian = _jacobian_pattern(A2, M)
+            # the residual is [A2, -M2] [w; w^n + dt gamma F(w)], one product
+            self._residual_op = hstack([A2, -self.M2], format="csr")
+            self._residual_arg = np.empty(2 * n2)
+            self._scaled = np.empty(n2)  # |R| over the lumped mass
             # the residual over the lumped mass is a nodal rate, like w itself
             self._inv_mass = 1.0 / np.concatenate([ops.lumped, ops.lumped])
         else:
-            self._lu_u, self._lu_v = splu(self.A_u.tocsc()), splu(self.A_v.tocsc())
+            self._lu_u, self._lu_v = _splu(self.A_u.tocsc()), _splu(self.A_v.tocsc())
             self.factorizations = 2
             # RK4 stages k1-k4, the stage argument and the weighted stage sum
             self._rk4 = tuple(np.empty(n2) for _ in range(6))
         self._lu = None
-        self._prev = None  # the state the last implicit step started from
+        # (step, stacked start state) of the last implicit steps, latest
+        # first: at most two, of consecutive steps
+        self._prev = ()
 
     def step(self, state: FemState) -> FemState:
         """Advance one step with the configured kinetics treatment."""
@@ -305,8 +361,11 @@ class _Stepper:
         """
         gamma = self.config.params.gamma
         n = len(w) // 2
-        fu, fv, gu, gv = reaction_jacobian(w[:n], w[n:])
-        rate = np.maximum(np.abs(fu) + np.abs(fv), np.abs(gu) + np.abs(gv))
+        u, v = w[:n], w[n:]
+        # the larger absolute row sum of dF, max(|2uv - 1|, |-2uv|) + |u^2|:
+        # rounding is monotone, so this equals the maximum of the two sums
+        uv2 = 2.0 * u * v
+        rate = np.maximum(np.abs(uv2 - 1.0), np.abs(uv2)) + u * u
         # compared as a float: a rate that overflowed to inf has no int count
         m = np.ceil(span * gamma * max(float(rate.max()), 1.0) / 0.5)
         if not m <= self._MAX_SUBSTEPS:
@@ -342,26 +401,47 @@ class _Stepper:
     # -- backward Euler with chord Newton ------------------------------------
 
     def _factorize(self, w):
+        """LU-factor the Jacobian at the stacked state w on the run's fixed pattern."""
         n = len(w) // 2
         a = self.config.dt * self.config.params.gamma
-        fu, fv, gu, gv = reaction_jacobian(w[:n], w[n:])
-        D = bmat([[diags(fu), diags(fv)], [diags(gu), diags(gv)]])
-        J = (self.A2 - a * (self.M2 @ D)).tocsc()
-        # diag_pivot_thresh stays at its default 1.0: the pivots of stiff
-        # states (large dt gamma u^2) are not safe to take from the diagonal
-        self._lu = splu(J, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
+        J, a2_values, m_values, derivative = self._jacobian
+        # each entry a2 - a (m d), the value A2 - a * (M2 @ D) gives it
+        np.take(np.concatenate(reaction_jacobian(w[:n], w[n:])), derivative, out=J.data)
+        J.data *= m_values
+        J.data *= a
+        np.subtract(a2_values, J.data, out=J.data)
+        self._lu = _splu(J)
         self.factorizations += 1
+
+    def _residual(self, w, w_old, a):
+        """The residual A2 w - M2 (w^n + a F(w)) and its largest |R_i / m_i|."""
+        x = self._residual_arg
+        n2 = len(w)
+        x[:n2] = w
+        z = self._F(w, x[n2:])
+        z *= a
+        z += w_old
+        R = self._residual_op @ x
+        np.multiply(R, self._inv_mass, out=self._scaled)
+        return R, float(np.abs(self._scaled, out=self._scaled).max())
 
     def _backward_euler(self, w_old, state: FemState):
         """Advance w_old = [u; v], the stacked state, by one backward-Euler step."""
         cfg = self.config
-        dt, gamma = cfg.dt, cfg.params.gamma
-        b = self.M2 @ w_old
+        a = cfg.dt * cfg.params.gamma
         tol = self._NEWTON_RTOL * max(1.0, float(np.abs(w_old).max()))
-        prev, self._prev = self._prev, None
-        predicted = prev is not None and prev.step + 1 == state.step
-        # w is rebound, never written in place, so w_old and best need no copy
-        w = 2.0 * w_old - np.concatenate([prev.u, prev.v]) if predicted else w_old
+        prev, self._prev = self._prev, ()
+        if prev and prev[0][0] + 1 != state.step:
+            prev = ()
+        predicted = bool(prev)
+        # w is rebound, never written in place, so w_old, the history and
+        # best need no copy
+        if len(prev) == 2:
+            w = 3.0 * (w_old - prev[0][1]) + prev[1][1]
+        elif prev:
+            w = 2.0 * w_old - prev[0][1]
+        else:
+            w = w_old
         if self._lu is None:
             self._factorize(w)
         refreshes = 0
@@ -370,8 +450,7 @@ class _Stepper:
         res_prev = np.inf
         best = None
         for _ in range(self._NEWTON_MAXITER):
-            R = self.A2 @ w - b - dt * gamma * (self.M2 @ self._F(w, self._f))
-            res = float(np.abs(R * self._inv_mass).max())
+            R, res = self._residual(w, w_old, a)
             if not np.isfinite(res):
                 if predicted and corrections == 0:
                     # the extrapolation overshot; start again from the old state
@@ -391,7 +470,7 @@ class _Stepper:
             # a predicted start can meet tol by itself; accepting it without
             # a correction would leave the extrapolation error in the state
             if res < tol and corrections > 0:
-                self._prev = state
+                self._prev = ((state.step, w_old),) + prev[:1]
                 return w
             if best is None or res < best[1]:
                 best = (w, res)

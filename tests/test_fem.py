@@ -192,12 +192,10 @@ def test_diffusion_factored_once_per_run(coarse, monkeypatch, kinetics, factoriz
     assert rec.factorizations == factorizations
     # two diffusion solves a step; three chord corrections a step
     assert rec.lu_solves == {"split": 20, "implicit": 30}[kinetics]
-    n = len(mesh.vertices)
-    # the block Jacobian is ordered in symmetric mode; the diffusion factors
-    # keep splu's default COLAMD, whose solves feed criterion 12's digests
-    expected = (((2 * n, 2 * n), {"permc_spec": "MMD_AT_PLUS_A",
-                                  "options": {"SymmetricMode": True}})
-                if kinetics == "implicit" else ((n, n), {}))
+    n = {"split": 1, "implicit": 2}[kinetics] * len(mesh.vertices)
+    # every factor, the block Jacobian and the diffusion factors alike, is
+    # ordered in symmetric mode
+    expected = ((n, n), {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}})
     assert all(call == expected for call in calls)
 
 
@@ -243,9 +241,10 @@ def test_implicit_chord_matches_full_newton(request, mesh_name, params, lumped):
     # each chord step (extrapolated start, reused factor) against full Newton
     # from the same old state. The chord stops once the residual over the
     # lumped mass is below 5e-10 max(1, max|w^n|), which leaves at most
-    # 3.2e-9 relative in the state on the coarse mesh and 0.9e-9 on the desk
-    # mesh; the bound is 1e-8. An absolute residual bound of 1e-11 left
-    # 0.7e-9 and 4.4e-9 (turing): it loosened about as 1/h^2.
+    # 3.1e-9 relative in the state on the coarse mesh and 1.1e-9 on the desk
+    # mesh (3.2e-9 and 0.9e-9 from the linear extrapolation); the bound is
+    # 1e-8. An absolute residual bound of 1e-11 left 0.7e-9 and 4.4e-9
+    # (turing): it loosened about as 1/h^2.
     mesh, ops = request.getfixturevalue(mesh_name)
     dt = 1e-3
     stepper = fem._Stepper(ops, RunConfig(params, mesh, dt=dt, t_end=1.0, lumped=lumped,
@@ -311,6 +310,64 @@ def test_implicit_factor_pivots_stiff_state(coarse, monkeypatch, lumped):
     assert backward <= 1e-14
 
 
+def _record_iterates(stepper):
+    """Record every iterate the stepper forms its Newton residual at, in order."""
+    iterates = []
+    residual = stepper._residual
+
+    def recording(w, w_old, a):
+        iterates.append(w.copy())
+        return residual(w, w_old, a)
+
+    stepper._residual = recording
+    return iterates
+
+
+def _stacked(state):
+    return np.concatenate([state.u, state.v])
+
+
+def test_implicit_start_extrapolates(coarse):
+    # the first iterate of each step: w^n on step 1, the linear extrapolation
+    # on step 2, the quadratic one from step 3 on
+    mesh, ops = coarse
+    stepper = fem._Stepper(ops, RunConfig(DAMPED, mesh, dt=1e-3, t_end=1.0, kinetics="implicit"))
+    iterates = _record_iterates(stepper)
+    states, starts = [initial_conditions(DAMPED, mesh)], []
+    for _ in range(5):
+        iterates.clear()
+        states.append(stepper.step(states[-1]))
+        starts.append(iterates[0])
+    w = [_stacked(s) for s in states]
+    assert np.array_equal(starts[0], w[0])
+    assert np.array_equal(starts[1], 2.0 * w[1] - w[0])
+    for k in range(2, 5):
+        linear = 2.0 * w[k] - w[k - 1]
+        np.testing.assert_allclose(starts[k], 3.0 * w[k] - 3.0 * w[k - 1] + w[k - 2],
+                                   rtol=0.0, atol=1e-14)
+        # the curvature term dt^2 w'' is far above round-off
+        assert np.abs(starts[k] - linear).max() > 1e-9
+
+    # a state that does not follow the last step starts from itself, and
+    # the step after it from the linear extrapolation: the history restarts
+    iterates.clear()
+    again = stepper.step(states[2])
+    assert np.array_equal(iterates[0], w[2])
+    iterates.clear()
+    stepper.step(again)
+    assert np.array_equal(iterates[0], 2.0 * _stacked(again) - w[2])
+
+    # a quadratic extrapolation whose residual overflows restarts from w^n;
+    # simulate steps under the same errstate
+    stepper.step(stepper.step(states[3]))
+    iterates.clear()
+    stepper._prev = ((4, w[4]), (3, np.full_like(w[3], 1e300)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        stepper.step(states[5])
+    assert np.abs(iterates[0]).max() >= 1e300
+    assert np.array_equal(iterates[1], w[5])
+
+
 def test_implicit_start_falls_back_to_old_state(coarse):
     mesh, ops = coarse
     dt = 1e-3
@@ -324,7 +381,7 @@ def test_implicit_start_falls_back_to_old_state(coarse):
     assert np.array_equal(again.u, s1.u) and np.array_equal(again.v, s1.v)
     # an extrapolation whose residual overflows restarts from the old state;
     # simulate steps under the same errstate
-    stepper._prev = FemState(np.full_like(s0.u, -1e300), s0.v, s0.t, s0.step)
+    stepper._prev = ((s0.step, np.concatenate([np.full_like(s0.u, -1e300), s0.v])),)
     with np.errstate(over="ignore", invalid="ignore"):
         s2 = stepper.step(s1)
     u, v = _newton_step(ops, DAMPED, dt, s1, ops.mass)
@@ -336,13 +393,14 @@ def test_implicit_keeps_factor_while_contracting(coarse):
     # through the Turing transient on the coarse mesh (200 steps) the chord
     # factor is refreshed only when a correction contracts the residual less
     # than tenfold or a step has used it six times: 13 factorizations and
-    # 1,004 solves. Refreshing after every third correction took 130.
+    # 889 solves (1,004 from the linear extrapolation). Refreshing after
+    # every third correction took 130 factorizations.
     mesh, ops = coarse
     cfg = RunConfig(TURING, mesh, dt=1e-3, t_end=0.2, threshold=0.0, kinetics="implicit")
     rec = simulate(cfg, ops)
     assert rec.final.step == 200
     assert rec.factorizations <= 20
-    assert rec.lu_solves <= 6 * rec.final.step
+    assert rec.lu_solves <= 889
 
 
 def test_implicit_refresh_budget_exhausted(coarse):
@@ -598,8 +656,13 @@ def test_step_returns_state_apart_from_stepper_buffers(coarse, kinetics):
     buffers = [a for value in vars(stepper).values()
                for a in (value if isinstance(value, tuple) else (value,))
                if isinstance(a, np.ndarray)]
-    # implicit: the residual's reaction terms and the reciprocal lumped mass
-    assert len(buffers) == {"split": 6, "implicit": 2}[kinetics]
+    # implicit: the residual's argument [w; w^n + dt gamma F(w)], the scaled
+    # residual, the reciprocal lumped mass and the Jacobian pattern's A2
+    # values, M values and derivative indices; the Jacobian's own value
+    # array is written by every refresh
+    assert len(buffers) == {"split": 6, "implicit": 6}[kinetics]
+    if kinetics == "implicit":
+        buffers.append(stepper._jacobian[0].data)
     state = initial_conditions(TURING, mesh)
     first = stepper.step(state)
     kept = (first.u.copy(), first.v.copy())
