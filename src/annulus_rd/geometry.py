@@ -19,19 +19,18 @@ a pair of np.add.at calls would, so the meshes are bit-identical to those of
 that slower formulation too.
 
 Between retriangulations the points move little, so qhull (scipy's Delaunay)
-triangulates only the seed lattice, the final clean-up, the steps a repair
-declines and meshes too small for a repair to pay (_REPAIR_MIN_POINTS). Each
-other step repairs the last triangulation, hole triangles included, by edge
-flips (Lawson, 1977): inverted hull slivers are dropped, reflex hull vertices
-filled, and every edge whose far vertex lies inside the circumcircle by 1e-9
-of the determinant's scale is flipped. The repair is kept only under a
+triangulates only the seed lattice, the final clean-up and the steps a
+repair declines. Each other step repairs the last triangulation, hole
+triangles included, by edge flips (Lawson, 1977): inverted hull slivers are
+dropped, and every edge whose far vertex lies inside the circumcircle by
+1e-9 of the determinant's scale is flipped. The repair is kept only under a
 certificate (every triangle counter-clockwise, the hull one convex cycle,
 every edge of an interior triangle Delaunay by that margin, no centroid
 within round-off of the interior threshold), which makes its interior
-triangles qhull's. A tie, such as the co-circular trapezoids of a
-mirror-symmetric lattice, or any failed check leaves the step to qhull, so
-the bars and every mesh are byte-identical to qhull at every
-retriangulation.
+triangles qhull's. A reflex or straight hull turn, a tie (such as the
+co-circular trapezoids of a mirror-symmetric lattice) or any other failed
+check leaves the step to qhull, so the bars and every mesh are
+byte-identical to qhull at every retriangulation.
 """
 
 from __future__ import annotations
@@ -153,8 +152,8 @@ class TriMesh:
     h: float
 
 
-def _signed_distance(p: np.ndarray, a: float, b: float) -> np.ndarray:
-    r = np.hypot(p[:, 0], p[:, 1])
+def _signed_distance(r: np.ndarray, a: float, b: float) -> np.ndarray:
+    """Signed distance from the annulus of points at radius r, negative inside."""
     return np.maximum(r - b, a - r)
 
 
@@ -163,8 +162,7 @@ def _centroid_distance(x, y, tri, a, b):
     vertices summed in the triangle's order (bit for bit as np.mean)."""
     cx = (x[tri[:, 0]] + x[tri[:, 1]] + x[tri[:, 2]]) / 3.0
     cy = (y[tri[:, 0]] + y[tri[:, 1]] + y[tri[:, 2]]) / 3.0
-    r = np.hypot(cx, cy)
-    return np.maximum(r - b, a - r)
+    return _signed_distance(np.hypot(cx, cy), a, b)
 
 
 def _lattice_size(b: float, h: float) -> float:
@@ -231,10 +229,6 @@ _MAX_ITER = 2000
 # (the sum of the magnitudes of the products it adds): an orientation or
 # incircle determinant within it is a tie that only qhull may decide.
 _MARGIN = 1e-9
-# A repair costs a fixed 0.1-0.2 ms of numpy calls, qhull about 1.5 us a
-# point: below this many points qhull is the cheaper of the two (measured
-# crossover between 70 and 83 points)
-_REPAIR_MIN_POINTS = 100
 
 
 def _delaunay(p: np.ndarray, a: float, b: float, geps: float):
@@ -290,12 +284,11 @@ def _interior(x, y, tri, a, b, geps):
     return dist < -geps
 
 
-def _to_flip(x, y, tri, nbr, t, k, interior, ties):
+def _to_flip(x, y, tri, nbr, t, k, interior):
     """Which interior edges, opposite vertex k of triangle t, to flip: those
     whose far vertex D lies inside the circle through t by the margin.
 
-    None when an edge of an interior triangle is within the margin: a tie,
-    whose quadruple (the vertices of t, then D) is appended to ties.
+    None when an edge of an interior triangle is within the margin: a tie.
     """
     tf, e = tri.ravel(), 3 * t
     s3 = 3 * nbr.ravel()[e + k]
@@ -303,20 +296,18 @@ def _to_flip(x, y, tri, nbr, t, k, interior, ties):
     quad += (tf[s3] + tf[s3 + 1] + tf[s3 + 2] - quad[1] - quad[2],)  # s's vertex off the edge
     s = s3 // 3
     det, scale = _incircle(x, y, *quad)
-    tie = (np.abs(det) <= _MARGIN * scale) & (interior[t] | interior[s])
-    if tie.any():
-        ties += np.column_stack(quad)[tie].tolist()
+    if np.any((np.abs(det) <= _MARGIN * scale) & (interior[t] | interior[s])):
         return None
     return det > _MARGIN * scale
 
 
 def _repair_hull(x, y, tri, nbr):
-    """Make the hull of (tri, nbr) one convex cycle again, or return None.
+    """Drop the inverted hull slivers of (tri, nbr), or return None.
 
-    Inverted triangles with one hull edge (their third vertex crossed it) are
-    dropped, and a triangle is added at each reflex hull vertex, until every
-    hull turn is left by the margin. Any other triangle that is not
-    counter-clockwise by the margin declines the repair.
+    An inverted triangle with one hull edge (its third vertex crossed it) is
+    dropped. The repair is declined unless every other triangle is
+    counter-clockwise by the margin and the hull is then one cycle that
+    turns left by the margin at every vertex.
     """
     o, scale = _orient(x, y, tri[:, 0], tri[:, 1], tri[:, 2])
     bad = o <= _MARGIN * scale
@@ -343,38 +334,9 @@ def _repair_hull(x, y, tri, nbr):
     if v != start or steps != len(nxt):
         return None
     turn, scale = _orient(x, y, hu, hv, np.array([nxt[w] for w in hv.tolist()]))
-    if np.any(np.abs(turn) <= _MARGIN * scale):
+    if np.any(turn <= _MARGIN * scale):
         return None
-    if np.all(turn > 0):
-        return tri, nbr
-
-    # fill each reflex vertex v (between u and w) with the triangle (u, w, v),
-    # counter-clockwise by the margin since (u, v, w) turns right by it
-    prv = {w: u for u, w in nxt.items()}
-    owner = dict(zip(hu.tolist(), zip(ht.tolist(), hk.tolist())))
-    m = len(tri)
-    tri = np.concatenate([tri, np.zeros((len(nxt), 3), tri.dtype)])
-    nbr = np.concatenate([nbr, np.full((len(nxt), 3), -1, nbr.dtype)])
-    stack = hv[turn < 0].tolist()
-    while stack:
-        v = stack.pop()
-        if v not in nxt:
-            continue
-        u, w = prv[v], nxt[v]
-        turn, scale = _orient(x, y, u, v, w)
-        if abs(turn) <= _MARGIN * scale or len(nxt) == 3:
-            return None
-        if turn > 0:
-            continue
-        (t1, k1), (t2, k2) = owner.pop(u), owner.pop(v)
-        tri[m] = u, w, v
-        nbr[m] = t2, t1, -1
-        nbr[t1, k1] = nbr[t2, k2] = m
-        del nxt[v], prv[v]
-        nxt[u], prv[w], owner[u] = w, u, (m, 2)
-        m += 1
-        stack += [u, w]
-    return tri[:m], nbr[:m]
+    return tri, nbr
 
 
 def _lawson(x, y, tri, nbr, stack):
@@ -417,10 +379,10 @@ def _lawson(x, y, tri, nbr, stack):
     return touched
 
 
-def _repair_delaunay(x, y, tri, nbr, ties, a, b, geps):
+def _repair_delaunay(x, y, tri, nbr, a, b, geps):
     """Repair the last Delaunay triangulation (tri, nbr) for moved points.
 
-    The hull is made convex again (_repair_hull), then every edge whose far
+    Inverted hull slivers are dropped (_repair_hull), then every edge whose far
     vertex lies inside the circumcircle by the margin is flipped (Lawson's
     algorithm). The result is accepted only under a certificate: every
     triangle counter-clockwise, the hull one convex cycle, every edge of an
@@ -432,15 +394,7 @@ def _repair_delaunay(x, y, tri, nbr, ties, a, b, geps):
     flip, and afterwards over what the flips touched.
 
     Returns (triangles, neighbours, interior), or None for qhull to decide.
-    ties is the caller's list of vertex quadruples that were co-circular
-    when a repair last declined for a tie; while one of them still is, the
-    repair declines at once.
     """
-    for quad in ties:
-        det, scale = _incircle(x[quad].tolist(), y[quad].tolist(), 0, 1, 2, 3)
-        if abs(det) <= _MARGIN * scale:
-            return None
-    ties.clear()
     hull = _repair_hull(x, y, tri, nbr)
     if hull is None:
         return None
@@ -448,7 +402,7 @@ def _repair_delaunay(x, y, tri, nbr, ties, a, b, geps):
     if interior is None:
         return None
     t, k = np.nonzero(hull[1] > np.arange(len(hull[1]))[:, None])
-    flip = _to_flip(x, y, *hull, t, k, interior, ties)
+    flip = _to_flip(x, y, *hull, t, k, interior)
     if flip is None:
         return None
     if not flip.any():
@@ -467,7 +421,7 @@ def _repair_delaunay(x, y, tri, nbr, ties, a, b, geps):
     interior[t] = inner
     t, k = np.repeat(t, 3), np.tile([0, 1, 2], len(t))
     t, k = t[nbr[t, k] >= 0], k[nbr[t, k] >= 0]
-    flip = _to_flip(x, y, tri, nbr, t, k, interior, ties)
+    flip = _to_flip(x, y, tri, nbr, t, k, interior)
     if flip is None or flip.any():
         return None
     return tri, nbr, interior
@@ -498,7 +452,7 @@ def triangulate_annulus(geom: AnnulusGeometry, h: float) -> TriMesh:
     geps = 1e-3 * h
 
     p = _hex_lattice(b, h)
-    p = p[_signed_distance(p, a, b) < geps]
+    p = p[_signed_distance(np.hypot(p[:, 0], p[:, 1]), a, b) < geps]
 
     # the relaxation works on x and y as contiguous columns; p is formed
     # from them only for qhull and for the final clean-up
@@ -509,15 +463,14 @@ def triangulate_annulus(geom: AnnulusGeometry, h: float) -> TriMesh:
     # the last triangulation, kept counter-clockwise with its neighbours
     # (hole triangles included) for the next retriangulation to repair
     tri = nbr = None
-    ties = []
     retriangulations = qhull_calls = 0
     for iteration in range(_MAX_ITER):
         if np.max(np.hypot(x - xold, y - yold)) > _TTOL * h:
             xold, yold = x, y
             retriangulations += 1
             repaired = None
-            if nbr is not None and n >= _REPAIR_MIN_POINTS:
-                repaired = _repair_delaunay(x, y, tri, nbr, ties, a, b, geps)
+            if nbr is not None:
+                repaired = _repair_delaunay(x, y, tri, nbr, a, b, geps)
             if repaired is None:
                 # free the declined triangulation before qhull builds one
                 tri = nbr = None
@@ -554,7 +507,7 @@ def triangulate_annulus(geom: AnnulusGeometry, h: float) -> TriMesh:
         x[out] *= s
         y[out] *= s
 
-        interior = np.maximum(r - b, a - r) < -geps
+        interior = _signed_distance(r, a, b) < -geps
         move = _DELTAT * np.hypot(tx, ty)
         maxdp = move[interior].max() if interior.any() else 0.0
         if maxdp < _DPTOL * h:
@@ -621,11 +574,26 @@ def export_mesh(mesh: TriMesh, node_path, ele_path) -> None:
     write_text(ele_path, "".join(lines))
 
 
+def _data_rows(path, lines):
+    """(line number, fields) of each non-comment line of a mesh file, each
+    of which must hold three fields."""
+    rows = []
+    for no, ln in enumerate(lines, 1):
+        if ln.strip() and not ln.startswith("#"):
+            fields = ln.split()
+            if len(fields) != 3:
+                raise GeometryError(f"{path}:{no}: expected 3 fields, got {len(fields)}")
+            rows.append((no, fields))
+    return rows
+
+
 def read_mesh(node_path, ele_path) -> TriMesh:
     """Read mesh files written by export_mesh.
 
     Header comments are optional; without one the radii are inferred from
-    the vertex coordinates and h is reported as 0.
+    the vertex coordinates and h is reported as 0. A line that does not hold
+    three numbers, a flag other than 0, 1 or 2, or a vertex index outside
+    the node file raises GeometryError naming the file and line.
     """
     with open(node_path, encoding="utf-8") as f:
         node_lines = f.readlines()
@@ -640,11 +608,25 @@ def read_mesh(node_path, ele_path) -> TriMesh:
                     key, _, val = token.partition("=")
                     fields[key] = val
 
-    rows = [ln.split() for ln in node_lines if ln.strip() and not ln.startswith("#")]
-    verts = np.array([[float(r[0]), float(r[1])] for r in rows])
-    flags = np.array([int(r[2]) for r in rows], dtype=np.int8)
-    tris = np.array([[int(v) for v in ln.split()] for ln in ele_lines
-                     if ln.strip() and not ln.startswith("#")], dtype=np.int64)
+    verts, flags, tris = [], [], []
+    for no, (x, y, flag) in _data_rows(node_path, node_lines):
+        try:
+            verts.append([float(x), float(y)])
+            flags.append(int(flag))
+        except ValueError as exc:
+            raise GeometryError(f"{node_path}:{no}: {exc}") from None
+        if flags[-1] not in (0, 1, 2):
+            raise GeometryError(f"{node_path}:{no}: boundary flag {flags[-1]} is not 0, 1 or 2")
+    for no, row in _data_rows(ele_path, ele_lines):
+        try:
+            tris.append([int(v) for v in row])
+        except ValueError as exc:
+            raise GeometryError(f"{ele_path}:{no}: {exc}") from None
+        if not all(0 <= v < len(verts) for v in tris[-1]):
+            raise GeometryError(f"{ele_path}:{no}: vertex index outside [0, {len(verts)})")
+    verts = np.array(verts, dtype=np.float64).reshape(-1, 2)
+    flags = np.array(flags, dtype=np.int8)
+    tris = np.array(tris, dtype=np.int64).reshape(-1, 3)
 
     radii = np.hypot(verts[:, 0], verts[:, 1])
     a = float(fields.get("a", radii.min()))

@@ -113,6 +113,11 @@ MESH_GOLDEN = {
     (0.5, 2.1, 0.1): ("1417a145b6c6d2790346c671efb2caee7eaf60b583667679c7ae7665230fcbb8",
                       "1291b33da26e896e7639f4afe40b082b370404b50ee379ba685de8739347edee",
                       "4d106cff7a83f1341f4c169d37a83df008afeb468d30cecbab9b8ddd5ea1c6c1"),
+    # a thin annulus with ties: the mesh whose repair path depends most on
+    # how the repair treats ties and reflex hull turns
+    (1.0, 1.5, 0.05): ("28313ac64ca7b29445e033dcf3dd8cc09f70ef4a38d65362ce42d17f3ce21f1b",
+                       "d38f59ff9cf6812e70740d199c16d108b1d7fb8aad4956468c17af0470c23c7c",
+                       "c504b79476efd5e781f2bb5acd88d68c325bd106cd7c10b4f090dbb24fe9649e"),
 }
 
 
@@ -151,8 +156,8 @@ def test_accepted_repairs_give_qhull_bars(monkeypatch):
     accepted = []
     real = geometry._repair_delaunay
 
-    def spy(x, y, tri, nbr, ties, a, b, geps):
-        out = real(x, y, tri, nbr, ties, a, b, geps)
+    def spy(x, y, tri, nbr, a, b, geps):
+        out = real(x, y, tri, nbr, a, b, geps)
         if out is not None:
             tri, _, interior = out
             accepted.append(np.array_equal(mesh_edges(tri[interior]),
@@ -169,26 +174,32 @@ def test_cocircular_ties_are_left_to_qhull(monkeypatch):
     # annulus co-circular to round-off, where either diagonal is Delaunay and
     # qhull's choice is arbitrary: the repair must decline, and qhull decide
     events = []
-    real_repair, real_qhull = geometry._repair_delaunay, geometry.Delaunay
+    real_to_flip, real_qhull = geometry._to_flip, geometry.Delaunay
 
-    def repair(x, y, tri, nbr, ties, a, b, geps):
-        out = real_repair(x, y, tri, nbr, ties, a, b, geps)
-        events.append(("repair", out is None and list(ties), x.copy(), y.copy()))
+    def to_flip(x, y, tri, nbr, t, k, interior):
+        out = real_to_flip(x, y, tri, nbr, t, k, interior)
+        if out is None:
+            # the quadruples (vertices of t, then the far vertex of its
+            # neighbour s) of the edges checked that touch the interior
+            s = nbr[t, k]
+            quad = np.column_stack([tri[t, k], tri[t, (k + 1) % 3], tri[t, (k + 2) % 3],
+                                    tri[s].sum(axis=1) - tri[t, (k + 1) % 3] - tri[t, (k + 2) % 3]])
+            events.append(("tie", quad[interior[t] | interior[s]], x.copy(), y.copy()))
         return out
 
     def qhull(points):
         events.append(("qhull", points.copy()))
         return real_qhull(points)
 
-    monkeypatch.setattr(geometry, "_repair_delaunay", repair)
+    monkeypatch.setattr(geometry, "_to_flip", to_flip)
     monkeypatch.setattr(geometry, "Delaunay", qhull)
     triangulate_annulus(make_annulus(1.0, 2.0), 0.2)
-    tied = [i for i, event in enumerate(events) if event[0] == "repair" and event[1]]
+    tied = [i for i, event in enumerate(events) if event[0] == "tie"]
     assert len(tied) >= 10
     for i in tied:
-        _, ties, x, y = events[i]
-        det, scale = geometry._incircle(x, y, *np.array(ties).T)
-        assert np.all(np.abs(det) <= geometry._MARGIN * scale)
+        _, quad, x, y = events[i]
+        det, scale = geometry._incircle(x, y, *quad.T)
+        assert np.any(np.abs(det) <= geometry._MARGIN * scale)
         assert events[i + 1][0] == "qhull"
         assert np.array_equal(events[i + 1][1], np.column_stack([x, y]))
 
@@ -207,9 +218,14 @@ def test_mesh_edges_matches_pairwise_unique(dtype):
         assert np.array_equal(got, want)
 
 
-def test_delaunay_calls_on_desk_mesh(monkeypatch):
-    # pins the re-triangulation schedule (29: the lattice, 27 in the loop and
-    # the final clean-up) and the qhull calls among them, and that every
+@pytest.mark.parametrize("a, b, h, qhull_calls, retriangulations", [
+    pytest.param(0.5, 1.0, DESK_SCALE_H, 9, 29, id="desk"),
+    pytest.param(0.5, 1.0, 0.2, 5, 19, id="70-points"),
+    pytest.param(1.0, 1.5, 0.05, 16, 37, id="thin-with-ties"),
+])
+def test_delaunay_calls(monkeypatch, a, b, h, qhull_calls, retriangulations):
+    # pins the re-triangulation schedule (the lattice, the steps in the loop
+    # and the final clean-up) and the qhull calls among them, and that every
     # Delaunay call goes through the module-global name (the benchmark's
     # per-layer hook wraps it)
     calls, repairs = [], []
@@ -226,9 +242,9 @@ def test_delaunay_calls_on_desk_mesh(monkeypatch):
 
     monkeypatch.setattr(geometry, "Delaunay", counting)
     monkeypatch.setattr(geometry, "_repair_delaunay", repair)
-    triangulate_annulus(make_annulus(0.5, 1.0), DESK_SCALE_H)
-    assert len(calls) + sum(repairs) == 29
-    assert len(calls) == 9
+    triangulate_annulus(make_annulus(a, b), h)
+    assert len(calls) + sum(repairs) == retriangulations
+    assert len(calls) == qhull_calls
 
 
 def test_convergence_error_reports_retriangulations(monkeypatch):
@@ -308,6 +324,30 @@ def test_mesh_roundtrip(tmp_path):
     assert np.array_equal(back.triangles, mesh.triangles)
     assert np.array_equal(back.boundary_flags, mesh.boundary_flags)
     assert back.a == mesh.a and back.b == mesh.b and back.h == mesh.h
+
+
+@pytest.mark.parametrize("which, line, text, message", [
+    ("node", 3, "0.5 0.0\n", "expected 3 fields, got 2"),
+    ("node", 3, "0.5 0.0 1 4\n", "expected 3 fields, got 4"),
+    ("node", 3, "0.5 0.0 7\n", "boundary flag 7 is not 0, 1 or 2"),
+    ("node", 3, "0.5 0.0 -1\n", "boundary flag -1 is not 0, 1 or 2"),
+    ("node", 3, "0.5 zero 1\n", "could not convert"),
+    ("ele", 2, "0 1\n", "expected 3 fields, got 2"),
+    ("ele", 2, "-1 1 2\n", "vertex index outside"),
+    ("ele", 2, "0 1 99999\n", "vertex index outside"),
+    ("ele", 2, "0 1 2.5\n", "invalid literal"),
+], ids=["node-2-fields", "node-4-fields", "flag-7", "flag-minus-1", "node-not-a-number",
+        "ele-2-fields", "index-minus-1", "index-99999", "index-not-an-integer"])
+def test_read_mesh_rejects_malformed_lines(tmp_path, which, line, text, message):
+    mesh = triangulate_annulus(make_annulus(0.5, 1.0), 0.2)
+    files = {"node": tmp_path / "m.node", "ele": tmp_path / "m.ele"}
+    export_mesh(mesh, files["node"], files["ele"])
+    # replace file line `line` (1-based; line 1 is the header)
+    lines = files[which].read_text().splitlines(keepends=True)
+    lines[line - 1] = text
+    files[which].write_text("".join(lines))
+    with pytest.raises(GeometryError, match=rf"m\.{which}:{line}: .*{message}"):
+        read_mesh(files["node"], files["ele"])
 
 
 def test_mesh_export_stable_bytes(tmp_path):
