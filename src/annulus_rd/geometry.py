@@ -203,14 +203,19 @@ def mesh_edges(triangles: np.ndarray) -> np.ndarray:
     """Unique undirected edges of a triangle list, as sorted index pairs.
 
     Each pair i < j is encoded as the single key i*n + j (n above every
-    index), so the unique keys come out in the lexicographic order of the
-    pairs; the result has the dtype of the triangle list.
+    index), so the sorted keys come out in the lexicographic order of the
+    pairs, and a key equal to its predecessor is a repeat; the result has
+    the dtype of the triangle list.
     """
     n = int(triangles.max()) + 1 if triangles.size else 1
     t = triangles.astype(np.int64)
     e0 = np.concatenate([t[:, 0], t[:, 1], t[:, 2]])
     e1 = np.concatenate([t[:, 1], t[:, 2], t[:, 0]])
-    keys = np.unique(np.minimum(e0, e1) * n + np.maximum(e0, e1))
+    keys = np.minimum(e0, e1) * n + np.maximum(e0, e1)
+    keys.sort()
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    keys = keys[first]
     return np.column_stack(np.divmod(keys, n)).astype(triangles.dtype)
 
 
@@ -593,7 +598,8 @@ def read_mesh(node_path, ele_path) -> TriMesh:
     Header comments are optional; without one the radii are inferred from
     the vertex coordinates and h is reported as 0. A line that does not hold
     three numbers, a flag other than 0, 1 or 2, or a vertex index outside
-    the node file raises GeometryError naming the file and line.
+    the node file raises GeometryError naming the file and line; a node
+    file without vertex lines raises it naming the file.
     """
     with open(node_path, encoding="utf-8") as f:
         node_lines = f.readlines()
@@ -617,6 +623,8 @@ def read_mesh(node_path, ele_path) -> TriMesh:
             raise GeometryError(f"{node_path}:{no}: {exc}") from None
         if flags[-1] not in (0, 1, 2):
             raise GeometryError(f"{node_path}:{no}: boundary flag {flags[-1]} is not 0, 1 or 2")
+    if not verts:
+        raise GeometryError(f"{node_path}: no vertex lines")
     for no, row in _data_rows(ele_path, ele_lines):
         try:
             tris.append([int(v) for v in row])

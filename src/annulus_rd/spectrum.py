@@ -15,6 +15,9 @@ the phase factor exp(i l theta). Those series are the Bessel functions
 
 and with J_-l = cos(pi l) J_l - sin(pi l) Y_l (DLMF 10.4.7) the profile is
 evaluated as one fixed combination of scipy's J_nu and Y_nu at nu = |l|.
+Y_nu is taken as Im H1_nu (DLMF 10.4.3), one AMOS evaluation where scipy's
+yv runs two, and it is computed on a worker thread while J_nu runs on the
+calling thread (scipy's ufunc loops release the GIL).
 R is even in l, and at l < 0 the two terms would cancel for x < |l|. Summing the
 alternating series term by term in floating point cannot do this: at
 x = eta(12, 0.3) = 67.3 its terms reach 9e26 against a sum of 0.16.
@@ -27,10 +30,11 @@ barycentric Chebyshev matrix and applies the angular derivative analytically
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma, gammaln, jv, yv
+from scipy.special import gamma, gammaln, hankel1, jv, yv
 
 from .geometry import AnnulusGeometry, PolarSpectralGrid
 
@@ -258,8 +262,28 @@ def build_series(mode: ModeIndex, truncation=None) -> EigenfunctionSeries:
     return EigenfunctionSeries(mode, float(2.0**(lj - e_j)), float(-2.0**(ly - e_y)), e_j, e_y)
 
 
+def _bessel_y(nu: float, x: np.ndarray) -> np.ndarray:
+    """Y_nu(x) as Im H1_nu(x) (DLMF 10.4.3), bit for bit scipy's yv(nu, x).
+
+    For real x scipy's yv evaluates H1 and H2 with AMOS and returns the
+    imaginary part of H1; hankel1 evaluates H1 alone. Where that is not
+    finite, the overflow near x = 0 and x past AMOS's argument limit of
+    about 2.25e15, hankel1 gives NaN and yv's own value (-inf, or a
+    finite value from its large-argument branch) is taken.
+    """
+    y = hankel1(nu, x).imag
+    bad = ~np.isfinite(y)
+    if bad.any():
+        y[bad] = yv(nu, x[bad])
+    return y
+
+
 def radial_part(series: EigenfunctionSeries, eta: float, r) -> np.ndarray:
     """R1 + R2 at x = eta r for the radii r.
+
+    Y_nu is Im H1_nu (_bessel_y); it runs on one worker thread while J_nu
+    runs on the calling thread. It equals yv bit for bit, so the values
+    equal the sequential jv/yv combination bit for bit.
 
     Raises SpectrumError for an argument x that is not positive and finite,
     for a value that is not finite, such as Y_nu overflowing near x = 0,
@@ -275,10 +299,13 @@ def radial_part(series: EigenfunctionSeries, eta: float, r) -> np.ndarray:
     if max(abs(series.e_j), abs(series.e_y)) > np.iinfo(np.intc).max:
         raise SpectrumError(f"radial profile of order l={l} is out of range: its Bessel "
                             f"constants are 2^{series.e_j} and 2^{series.e_y} in size")
-    j = jv(nu, x)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        y = pool.submit(_bessel_y, nu, x)
+        j = jv(nu, x)
+        y = y.result()
     with np.errstate(over="ignore", invalid="ignore"):
         values = (np.ldexp(series.c_j * j, series.e_j)
-                  + np.ldexp(series.c_y * yv(nu, x), series.e_y))
+                  + np.ldexp(series.c_y * y, series.e_y))
         lost = np.ldexp(abs(series.c_j) * _J_FLOOR, series.e_j)
     if not np.all(np.isfinite(values)):
         raise SpectrumError(f"radial profile of order l={l} is not finite "
@@ -364,14 +391,14 @@ def collocation_residual(series: EigenfunctionSeries, eta: float,
 # rendering
 # ---------------------------------------------------------------------------
 
-def _hsv_to_rgb(h: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Vectorized HSV -> RGB, all channels in [0, 1]."""
+def _hsv_to_rgb(h: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Vectorized HSV -> RGB at saturation 1, all channels in [0, 1]."""
     h6 = (h % 1.0) * 6.0
     i = np.floor(h6).astype(np.int64) % 6
     f = h6 - np.floor(h6)
-    p = v * (1.0 - s)
-    q = v * (1.0 - s * f)
-    t = v * (1.0 - s * (1.0 - f))
+    p = np.zeros_like(v)
+    q = v * (1.0 - f)
+    t = v * (1.0 - (1.0 - f))
     r = np.choose(i, [v, q, p, p, t, v])
     g = np.choose(i, [t, v, v, q, p, p])
     b = np.choose(i, [p, p, t, v, v, q])
@@ -403,7 +430,7 @@ def render_phase_plot(series: EigenfunctionSeries, eta: float,
     mag = np.abs(w)
     peak = mag.max(initial=0.0)
     hue = (np.angle(w) + np.pi) / (2.0 * np.pi)
-    rgb = _hsv_to_rgb(hue, np.ones_like(hue), mag / (peak if peak > 0.0 else 1.0))
+    rgb = _hsv_to_rgb(hue, mag / (peak if peak > 0.0 else 1.0))
     img = np.zeros((n, n, 3), dtype=np.uint8)
     img[inside] = np.clip(np.rint(rgb * 255.0), 0, 255).astype(np.uint8)
 

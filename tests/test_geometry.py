@@ -336,17 +336,26 @@ def test_mesh_roundtrip(tmp_path):
     ("ele", 2, "-1 1 2\n", "vertex index outside"),
     ("ele", 2, "0 1 99999\n", "vertex index outside"),
     ("ele", 2, "0 1 2.5\n", "invalid literal"),
+    # text None: the file is cut after `line` lines, leaving no data line
+    ("node", 1, None, "no vertex lines"),
+    ("node", 0, None, "no vertex lines"),
 ], ids=["node-2-fields", "node-4-fields", "flag-7", "flag-minus-1", "node-not-a-number",
-        "ele-2-fields", "index-minus-1", "index-99999", "index-not-an-integer"])
+        "ele-2-fields", "index-minus-1", "index-99999", "index-not-an-integer",
+        "node-header-only", "node-empty"])
 def test_read_mesh_rejects_malformed_lines(tmp_path, which, line, text, message):
     mesh = triangulate_annulus(make_annulus(0.5, 1.0), 0.2)
     files = {"node": tmp_path / "m.node", "ele": tmp_path / "m.ele"}
     export_mesh(mesh, files["node"], files["ele"])
     # replace file line `line` (1-based; line 1 is the header)
     lines = files[which].read_text().splitlines(keepends=True)
-    lines[line - 1] = text
+    if text is None:
+        lines = lines[:line]
+        where = rf"m\.{which}: "
+    else:
+        lines[line - 1] = text
+        where = rf"m\.{which}:{line}: .*"
     files[which].write_text("".join(lines))
-    with pytest.raises(GeometryError, match=rf"m\.{which}:{line}: .*{message}"):
+    with pytest.raises(GeometryError, match=where + message):
         read_mesh(files["node"], files["ele"])
 
 

@@ -6,9 +6,11 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import hankel1, jv, yv
 
 from annulus_rd.geometry import make_annulus, build_polar_grid
 from annulus_rd.spectrum import (
+    _bessel_y,
     ModeIndex,
     SpectrumError,
     WeightingProfile,
@@ -211,6 +213,50 @@ def test_series_range_guards():
     for l in (1.0, 2.0, -1.0):
         with pytest.raises(SpectrumError, match="multiple of 1/2"):
             ModeIndex(0, l)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def test_hankel_imag_is_yv():
+    # orders past 150 are those whose series constants carry a binary exponent
+    nu = np.concatenate([np.linspace(0.013, 399.9, 157), [0.3, 1.3, 2.3, 5.3, 149.3, 160.3]])
+    x = np.geomspace(1e-4, 1e5, 211)
+    N, X = np.meshgrid(nu, x)
+    h, y = hankel1(N, X).imag, yv(N, X)
+    finite = np.isfinite(h)
+    assert finite.sum() > 20000
+    assert np.array_equal(_bits(h[finite]), _bits(y[finite]))
+    for n in nu:
+        assert np.array_equal(_bits(_bessel_y(n, x)), _bits(yv(n, x)))
+
+
+def test_bessel_y_takes_yv_where_hankel_fails():
+    x = np.array([1e-300, 1e3, 3e15, 1e100, 1e300])
+    for nu in (2.3, 40.7, 160.3):
+        h, y = hankel1(nu, x).imag, yv(nu, x)
+        # overflow near x = 0 (yv gives -inf) and x past AMOS's argument limit
+        # of about 2.25e15 (yv finite): hankel1 gives NaN in both
+        assert np.isnan(h[[0, 2, 3, 4]]).all() and np.isfinite(h[1])
+        assert y[0] == -np.inf and np.isfinite(y[1:]).all()
+        assert np.array_equal(_bits(_bessel_y(nu, x)), _bits(y))
+
+
+def test_radial_part_matches_sequential_bessel_pair():
+    # the radii of a 400 px render of the (0.5, 1) annulus and the five
+    # modes the plane-analysis benchmark renders at seed 0
+    coords = -1.0 + 2.0 * (np.arange(400) + 0.5) / 400
+    rr = np.hypot(*np.meshgrid(coords, -coords))
+    radii = np.unique(rr[(rr >= 0.5) & (rr <= 1.0)])
+    for k, l in ((1, 0.3), (2, 1.3), (3, 2.3), (1, 5.3), (4, 0.3)):
+        mode = ModeIndex(k, l)
+        eta = float(np.sqrt(eigenvalue(mode, GEOM)))
+        series = build_series(mode)
+        x = radii * eta
+        expected = (np.ldexp(series.c_j * jv(l, x), series.e_j)
+                    + np.ldexp(series.c_y * yv(l, x), series.e_y))
+        assert np.array_equal(_bits(radial_part(series, eta, radii)), _bits(expected))
 
 
 def test_collocation_residual_small():
