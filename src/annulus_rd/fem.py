@@ -10,9 +10,10 @@ Cartesian coordinates (the initial data are Cartesian; the polar form of the
 operator is the same thing on the interior). Zero flux is natural: no
 boundary terms appear in the weak form.
 
-Diffusion is always implicit (backward Euler, by LU factors of its constant
-matrices computed once per run, or inside the implicit Newton system); nodal
-kinetics (group finite elements) take one of two RunConfig.kinetics forms:
+Diffusion is always implicit (backward Euler, by one banded Cholesky factor
+of its constant matrices computed once per run, or inside the implicit
+Newton system); nodal kinetics (group finite elements) take one of two
+RunConfig.kinetics forms:
 
     "split"     - Strang splitting: half-interval nodal kinetics by RK4
                   substeps, implicit diffusion, half-interval kinetics.
@@ -32,9 +33,12 @@ kinetics (group finite elements) take one of two RunConfig.kinetics forms:
                   flattened; use for pattern-formation runs, not for
                   limit-cycle studies.
 
-Every LU factor, the Jacobian and the diffusion factors of "split" alike,
-is ordered in SuperLU's symmetric mode (minimum degree on A + A^T,
-diagonal pivots preferred).
+"split" stacks both species' constant diffusion matrices into one
+symmetric positive definite matrix, banded in reverse Cuthill-McKee order,
+and makes one LAPACK Cholesky factorization of it per run and one banded
+solve per step. The LU factors of the implicit Jacobian are ordered in
+SuperLU's symmetric mode (minimum degree on A + A^T, diagonal pivots
+preferred).
 
 Both work on one stacked state w = [u; v]. Kinetics frozen at the old state
 (forward Euler) is not offered: with the stiff activator kinetics it is
@@ -55,6 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse import block_diag, coo_matrix, csc_matrix, csr_matrix, diags, hstack
 # cg is not called here; bench/tracing.py still wraps fem.cg
 from scipy.sparse.linalg import cg, splu  # noqa: F401
@@ -190,16 +195,48 @@ class RunConfig:
 
 
 def _splu(A):
-    """LU-factor the CSC matrix A with the one ordering every factor of a run uses.
+    """LU-factor the implicit Jacobian, CSC, with the one ordering every refresh uses.
 
     SuperLU's symmetric mode: minimum degree on A + A^T, diagonal pivots
-    preferred. All the matrices factored here are structurally symmetric
-    (each block carries the mesh graph); on the desk mesh's Jacobian this
-    fills 28% less than COLAMD, on the reference mesh's A_v 21% less.
+    preferred. The Jacobian is structurally symmetric (each block carries
+    the mesh graph); on the desk mesh this fills 28% less than COLAMD.
     diag_pivot_thresh stays at its default 1.0: the pivots of stiff states
     (large dt gamma u^2) are not safe to take from the diagonal.
     """
     return splu(A, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
+
+
+def _banded_cholesky(graph, A_u, A_v):
+    """Cholesky-factor diag(A_u, A_v) as one LAPACK band, in reverse Cuthill-McKee order.
+
+    Both blocks carry the mesh graph (the pattern of graph), so one RCM
+    order of it, stacked as [order; order + n], makes the whole matrix
+    banded: bandwidth 75 on the reference mesh, 38 on the desk mesh (George
+    & Liu, Computer Solution of Large Sparse Positive Definite Systems,
+    1981). The upper band of the permuted matrix is written straight into a
+    Fortran-ordered (bw + 1, 2n) array, which dpbtrf factors in place with
+    no copy. Returns the stacked order and the factor; a matrix that is not
+    positive definite raises FemError.
+    """
+    # imported here: csgraph keeps about 1 MB resident, and only "split" uses it
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    n = graph.shape[0]
+    order = reverse_cuthill_mckee(graph, symmetric_mode=True)
+    order = np.concatenate([order, order + n])
+    position = np.empty_like(order)
+    position[order] = np.arange(2 * n)
+    a = block_diag((A_u, A_v), format="coo")
+    rows, cols = position[a.row], position[a.col]
+    upper = rows <= cols
+    rows, cols = rows[upper], cols[upper]
+    bw = int((cols - rows).max())
+    band = np.zeros((bw + 1, 2 * n), order="F")
+    band[bw + rows - cols, cols] = a.data[upper]
+    chol, info = dpbtrf(band, overwrite_ab=True)
+    if info != 0:
+        raise FemError(f"diffusion matrix is not positive definite (dpbtrf info {info})")
+    return order, chol
 
 
 def _jacobian_pattern(A2, M):
@@ -238,16 +275,19 @@ class _Stepper:
     Both kinetics treatments work on the stacked state w = [u; v], with
     F(w) = [f; g] the nodal reaction terms and M2 = diag(M, M), and share
     the implicit-diffusion systems A_u = M + dt K and A_v = M + dt d K.
-    Every LU factor of a run goes through _splu, in SuperLU's symmetric
-    mode.  The uniform steady state stays a fixed point: the nodal
-    kinetics vanish there and A 1 = M 1 (K 1 = 0), so the LU solve returns
+    The uniform steady state stays a fixed point: the nodal kinetics
+    vanish there and A 1 = M 1 (K 1 = 0), so the diffusion solve returns
     it up to round-off (criterion 8 bounds the drift).
 
-    "split" LU-factors A_u and A_v once, here, and integrates the nodal
-    ODE w' = gamma F(w) over each half interval with classical RK4,
-    subdividing so that the local rate bound (a bound on the spectral
-    radius of gamma dF, the larger absolute row sum of dF) times the
-    substep stays near 0.5, well inside the RK4 stability region.
+    "split" Cholesky-factors diag(A_u, A_v) once, here, as one LAPACK band
+    in reverse Cuthill-McKee order (_banded_cholesky), and keeps M2 with
+    its rows in that order, so that each diffusion solve is one sparse
+    product, one banded solve (dpbtrs) for both species and one scatter
+    back to mesh order.  It integrates the nodal ODE w' = gamma F(w) over
+    each half interval with classical RK4, subdividing so that the local
+    rate bound (a bound on the spectral radius of gamma dF, the larger
+    absolute row sum of dF) times the substep stays near 0.5, well inside
+    the RK4 stability region.
     Relaxation spikes at gamma ~ 7e2 are resolved by a few dozen substeps
     on the worst steps.  Its four stages, the stage argument and the
     weighted stage sum live in six buffers allocated once per run; each
@@ -263,7 +303,7 @@ class _Stepper:
     lives on a CSC pattern fixed per run (_jacobian_pattern); a refresh
     only rewrites its values, bit-identical to the sparse products that
     would form them.
-    It is LU-factorized at the first step and reused across steps while
+    It is LU-factorized (_splu) at the first step and reused across steps while
     the iteration contracts (the simplified Newton rule of Hairer &
     Wanner, Solving ODEs II, IV.8): it is refreshed at the current iterate
     when the contraction rate theta = res / res_prev of the last correction
@@ -281,7 +321,9 @@ class _Stepper:
     extrapolation error never reaches the state.  The iteration is
     non-monotone by design; it is declared failed only after the
     refactorization budget is spent.
-    factorizations and lu_solves count splu calls and factor solves.
+    factorizations and lu_solves count factorizations and solves with
+    them: for "split" one banded factorization per run and one solve per
+    step, for "implicit" its splu calls and chord corrections.
     """
 
     _NEWTON_MAXITER = 40
@@ -301,7 +343,7 @@ class _Stepper:
         self.A_u = (M + dt * ops.stiffness).tocsr()
         self.A_v = (M + dt * d * ops.stiffness).tocsr()
         self.M2 = block_diag((M, M), format="csr")
-        self.factorizations = 0  # splu calls and factor solves over the run
+        self.factorizations = 0  # factorizations and solves over the run
         self.lu_solves = 0
         self.kinetics_substeps = 0  # RK4 substeps over the run
         n2 = 2 * M.shape[0]
@@ -315,8 +357,9 @@ class _Stepper:
             # the residual over the lumped mass is a nodal rate, like w itself
             self._inv_mass = 1.0 / np.concatenate([ops.lumped, ops.lumped])
         else:
-            self._lu_u, self._lu_v = _splu(self.A_u.tocsc()), _splu(self.A_v.tocsc())
-            self.factorizations = 2
+            self._order, self._chol = _banded_cholesky(ops.stiffness, self.A_u, self.A_v)
+            self._M2_rows = self.M2[self._order]  # M2 w in the band's order, one product
+            self.factorizations = 1
             # RK4 stages k1-k4, the stage argument and the weighted stage sum
             self._rk4 = tuple(np.empty(n2) for _ in range(6))
         self._lu = None
@@ -344,13 +387,15 @@ class _Stepper:
         return out
 
     def _diffuse(self, w, step):
-        """Solve A_u u+ = M u and A_v v+ = M v, w = [u; v], with the cached factors."""
-        b = self.M2 @ w
+        """Solve A_u u+ = M u and A_v v+ = M v, w = [u; v], with the cached factor."""
+        b = self._M2_rows @ w
         if not np.all(np.isfinite(b)):
             raise FemError(f"non-finite right-hand side at step {step}")
-        n = len(w) // 2
-        self.lu_solves += 2
-        return np.concatenate([self._lu_u.solve(b[:n]), self._lu_v.solve(b[n:])])
+        x, _ = dpbtrs(self._chol, b, overwrite_b=True)
+        self.lu_solves += 1
+        out = np.empty_like(b)
+        out[self._order] = x
+        return out
 
     # -- Strang splitting ----------------------------------------------------
 
@@ -512,8 +557,8 @@ class RunRecord:
     monitor: np.ndarray = None  # columns t, rate_u, rate_v
     termination: str = ""
     final: FemState = None
-    factorizations: int = 0  # sparse LU factorizations
-    lu_solves: int = 0  # solves with those factors
+    factorizations: int = 0  # banded Cholesky (split, 1 a run) or Jacobian LU (implicit)
+    lu_solves: int = 0  # solves with those factors: 1 a step (split), 1 a correction
     kinetics_substeps: int = 0  # RK4 substeps of the split kinetics (0 for implicit)
 
 

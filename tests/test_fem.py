@@ -9,6 +9,7 @@ from annulus_rd import fem
 from annulus_rd.fem import (
     FemError,
     FemInputError,
+    FemOperators,
     FemState,
     RunConfig,
     RunRecord,
@@ -176,27 +177,47 @@ def test_step_matches_semidiscrete_rhs(coarse, kinetics):
 
 
 @pytest.mark.parametrize("kinetics, factorizations", [
-    ("split", 2),      # A_u and A_v, once per run, not per step
+    ("split", 1),      # one band holding A_u and A_v, once per run, not per step
     ("implicit", 1),   # only its block Jacobian, never refreshed in these 10 steps
 ])
 def test_diffusion_factored_once_per_run(coarse, monkeypatch, kinetics, factorizations):
     mesh, ops = coarse
-    calls = []
-    original = fem.splu
+    calls, band_factors, band_solves = [], [], []
+    original, factor, solve = fem.splu, fem.dpbtrf, fem.dpbtrs
     monkeypatch.setattr(fem, "splu",
                         lambda A, **kw: calls.append((A.shape, kw)) or original(A, **kw))
+    monkeypatch.setattr(fem, "dpbtrf",
+                        lambda ab, **kw: band_factors.append(ab.shape) or factor(ab, **kw))
+    monkeypatch.setattr(fem, "dpbtrs",
+                        lambda ab, b, **kw: band_solves.append(b.shape) or solve(ab, b, **kw))
     cfg = RunConfig(DAMPED, mesh, dt=1e-3, t_end=0.01, threshold=0.0, kinetics=kinetics)
     rec = simulate(cfg, ops)
     assert rec.final.step == 10
-    assert len(calls) == factorizations
     assert rec.factorizations == factorizations
-    # two diffusion solves a step; three chord corrections a step
-    assert rec.lu_solves == {"split": 20, "implicit": 30}[kinetics]
-    n = {"split": 1, "implicit": 2}[kinetics] * len(mesh.vertices)
-    # every factor, the block Jacobian and the diffusion factors alike, is
-    # ordered in symmetric mode
-    expected = ((n, n), {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}})
-    assert all(call == expected for call in calls)
+    # one diffusion solve a step for both species; three chord corrections a step
+    assert rec.lu_solves == {"split": 10, "implicit": 30}[kinetics]
+    n2 = 2 * len(mesh.vertices)
+    if kinetics == "split":
+        # the stacked diffusion matrix is factored as one band, never by splu
+        assert calls == []
+        assert len(band_factors) == factorizations and band_factors[0][1] == n2
+        assert band_solves == [(n2,)] * rec.lu_solves
+    else:
+        assert band_factors == [] and band_solves == []
+        assert len(calls) == factorizations
+        # the block Jacobian is ordered in symmetric mode
+        expected = ((n2, n2), {"permc_spec": "MMD_AT_PLUS_A",
+                               "options": {"SymmetricMode": True}})
+        assert all(call == expected for call in calls)
+
+
+def test_split_refuses_indefinite_diffusion(coarse):
+    # with a negated mass matrix M + dt K is not positive definite; the
+    # banded Cholesky factorization reports it at set-up
+    mesh, ops = coarse
+    negated = FemOperators(-ops.mass, ops.stiffness, ops.lumped)
+    with pytest.raises(FemError, match="not positive definite"):
+        fem._Stepper(negated, RunConfig(TURING, mesh, dt=1e-3, t_end=1.0))
 
 
 def _block_jacobian(A_u, A_v, M, a, u, v):
@@ -656,11 +677,12 @@ def test_step_returns_state_apart_from_stepper_buffers(coarse, kinetics):
     buffers = [a for value in vars(stepper).values()
                for a in (value if isinstance(value, tuple) else (value,))
                if isinstance(a, np.ndarray)]
-    # implicit: the residual's argument [w; w^n + dt gamma F(w)], the scaled
-    # residual, the reciprocal lumped mass and the Jacobian pattern's A2
-    # values, M values and derivative indices; the Jacobian's own value
-    # array is written by every refresh
-    assert len(buffers) == {"split": 6, "implicit": 6}[kinetics]
+    # split: the six RK4 buffers, the stacked RCM order and the banded
+    # Cholesky factor of diag(A_u, A_v).  implicit: the residual's argument
+    # [w; w^n + dt gamma F(w)], the scaled residual, the reciprocal lumped
+    # mass and the Jacobian pattern's A2 values, M values and derivative
+    # indices; the Jacobian's own value array is written by every refresh
+    assert len(buffers) == {"split": 8, "implicit": 6}[kinetics]
     if kinetics == "implicit":
         buffers.append(stepper._jacobian[0].data)
     state = initial_conditions(TURING, mesh)
