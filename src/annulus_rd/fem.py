@@ -25,20 +25,21 @@ RunConfig.kinetics forms:
                   extrapolation 3 u^n - 3 u^(n-1) + u^(n-2) (linear on the
                   second step, u^n on the first) and applies at least one
                   correction; the LU-factored Jacobian is reused across
-                  steps and refreshed, by rewriting its values on a sparsity
-                  pattern fixed per run, when a correction contracts the
-                  residual less than tenfold or has been used six times in
-                  one step. Strong damping: steady attractors are found even
-                  at coarse dt, but genuine temporal oscillations are
-                  flattened; use for pattern-formation runs, not for
-                  limit-cycle studies.
+                  steps and refreshed, by one sparse product, when a
+                  correction contracts the residual less than tenfold or
+                  has been used six times in one step. Strong damping:
+                  steady attractors are found even at coarse dt, but
+                  genuine temporal oscillations are flattened; use for
+                  pattern-formation runs, not for limit-cycle studies.
 
 "split" stacks both species' constant diffusion matrices into one
 symmetric positive definite matrix, banded in reverse Cuthill-McKee order,
 and makes one LAPACK Cholesky factorization of it per run and one banded
-solve per step. The LU factors of the implicit Jacobian are ordered in
-SuperLU's symmetric mode (minimum degree on A + A^T, diagonal pivots
-preferred).
+solve per step. "implicit" keeps A2 = diag(M + dt K, M + dt d K) and its
+residual operator [A2, -M2], M2 = diag(M, M), the only operators that
+depend on dt, and forms each Jacobian A2 - dt gamma M2 dF by one sparse
+product. Its LU factors are ordered in SuperLU's symmetric mode (minimum
+degree on A + A^T, diagonal pivots preferred).
 
 Both work on one stacked state w = [u; v]. Kinetics frozen at the old state
 (forward Euler) is not offered: with the stiff activator kinetics it is
@@ -60,7 +61,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.sparse import block_diag, coo_matrix, csc_matrix, csr_matrix, diags, hstack
+from scipy.sparse import block_diag, coo_matrix, csr_matrix, diags, hstack
 # cg is not called here; bench/tracing.py still wraps fem.cg
 from scipy.sparse.linalg import cg, splu  # noqa: F401
 
@@ -206,8 +207,8 @@ def _splu(A):
     return splu(A, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
 
 
-def _banded_cholesky(graph, A_u, A_v):
-    """Cholesky-factor diag(A_u, A_v) as one LAPACK band, in reverse Cuthill-McKee order.
+def _banded_cholesky(graph, A2):
+    """Cholesky-factor A2 = diag(A_u, A_v) as one LAPACK band, in reverse Cuthill-McKee order.
 
     Both blocks carry the mesh graph (the pattern of graph), so one RCM
     order of it, stacked as [order; order + n], makes the whole matrix
@@ -226,7 +227,7 @@ def _banded_cholesky(graph, A_u, A_v):
     order = np.concatenate([order, order + n])
     position = np.empty_like(order)
     position[order] = np.arange(2 * n)
-    a = block_diag((A_u, A_v), format="coo")
+    a = A2.tocoo()
     rows, cols = position[a.row], position[a.col]
     upper = rows <= cols
     rows, cols = rows[upper], cols[upper]
@@ -239,47 +240,18 @@ def _banded_cholesky(graph, A_u, A_v):
     return order, chol
 
 
-def _jacobian_pattern(A2, M):
-    """The fixed CSC pattern of J = A2 - a M2 D and the parts of its values.
-
-    The pattern is the structural union of A2's and that of
-    [[M, M], [M, M]]; a lumped M puts only diagonals into the off-diagonal
-    blocks. Returns J, holding no values yet, and per stored entry its A2
-    value, its M value (both 0 outside their pattern) and the index of its
-    derivative D_st(j) in the stacked [f_u; f_v; g_u; g_v].
-    """
-    n, n2 = M.shape[0], A2.shape[0]
-    a2, m = A2.tocoo(), M.tocoo()
-    blocks = [(s, t) for s in (0, 1) for t in (0, 1)]
-    m_rows = np.concatenate([m.row + s * n for s, t in blocks]).astype(np.int64)
-    m_cols = np.concatenate([m.col + t * n for s, t in blocks]).astype(np.int64)
-    # column-major keys: sorted, they are the entries in CSC order
-    keys_a2 = a2.col.astype(np.int64) * n2 + a2.row
-    keys_m = m_cols * n2 + m_rows
-    keys = np.union1d(keys_a2, keys_m)
-    cols, rows = np.divmod(keys, n2)
-    indptr = np.searchsorted(cols, np.arange(n2 + 1))
-    J = csc_matrix((np.zeros(len(keys)), rows, indptr), shape=(n2, n2))
-    a2_values, m_values = np.zeros(len(keys)), np.zeros(len(keys))
-    derivative = np.zeros(len(keys), dtype=np.intp)
-    a2_values[np.searchsorted(keys, keys_a2)] = a2.data
-    at_m = np.searchsorted(keys, keys_m)
-    m_values[at_m] = np.tile(m.data, 4)
-    derivative[at_m] = np.concatenate([(2 * s + t) * n + m.col for s, t in blocks])
-    return J, a2_values, m_values, derivative
-
-
 class _Stepper:
     """Caches per-run matrices and factorizations across steps.
 
     Both kinetics treatments work on the stacked state w = [u; v], with
     F(w) = [f; g] the nodal reaction terms and M2 = diag(M, M), and share
-    the implicit-diffusion systems A_u = M + dt K and A_v = M + dt d K.
+    the implicit-diffusion system A2 = diag(A_u, A_v), A_u = M + dt K and
+    A_v = M + dt d K, built once per run.
     The uniform steady state stays a fixed point: the nodal kinetics
     vanish there and A 1 = M 1 (K 1 = 0), so the diffusion solve returns
     it up to round-off (criterion 8 bounds the drift).
 
-    "split" Cholesky-factors diag(A_u, A_v) once, here, as one LAPACK band
+    "split" Cholesky-factors A2 once, here, as one LAPACK band
     in reverse Cuthill-McKee order (_banded_cholesky), and keeps M2 with
     its rows in that order, so that each diffusion solve is one sparse
     product, one banded solve (dpbtrs) for both species and one scatter
@@ -297,12 +269,11 @@ class _Stepper:
     substeps of the run.
 
     "implicit" solves the full backward-Euler system with a chord Newton
-    iteration, with A2 = diag(A_u, A_v) built once per run: its residual
-    A2 w - M2 (w^n + dt gamma F(w)) is one product of [A2, -M2] with a
-    buffer allocated once per run.  The block Jacobian A2 - dt gamma M2 dF
-    lives on a CSC pattern fixed per run (_jacobian_pattern); a refresh
-    only rewrites its values, bit-identical to the sparse products that
-    would form them.
+    iteration: its residual A2 w - M2 (w^n + dt gamma F(w)) is one product
+    of [A2, -M2] with a buffer allocated once per run.  Each refresh forms
+    the block Jacobian A2 - dt gamma M2 dF by one sparse product, with dF
+    the three diagonals of the nodal derivatives; A2 and [A2, -M2] are the
+    only operators it keeps that depend on dt.
     It is LU-factorized (_splu) at the first step and reused across steps while
     the iteration contracts (the simplified Newton rule of Hairer &
     Wanner, Solving ODEs II, IV.8): it is refreshed at the current iterate
@@ -339,17 +310,15 @@ class _Stepper:
     def __init__(self, ops: FemOperators, config: RunConfig):
         self.config = config
         dt, d = config.dt, config.params.d
-        self.M = M = diags(ops.lumped).tocsr() if config.lumped else ops.mass
-        self.A_u = (M + dt * ops.stiffness).tocsr()
-        self.A_v = (M + dt * d * ops.stiffness).tocsr()
+        M = diags(ops.lumped).tocsr() if config.lumped else ops.mass
+        A2 = block_diag((M + dt * ops.stiffness, M + dt * d * ops.stiffness), format="csr")
         self.M2 = block_diag((M, M), format="csr")
         self.factorizations = 0  # factorizations and solves over the run
         self.lu_solves = 0
         self.kinetics_substeps = 0  # RK4 substeps over the run
         n2 = 2 * M.shape[0]
         if config.kinetics == "implicit":
-            A2 = block_diag((self.A_u, self.A_v), format="csr")
-            self._jacobian = _jacobian_pattern(A2, M)
+            self._A2 = A2
             # the residual is [A2, -M2] [w; w^n + dt gamma F(w)], one product
             self._residual_op = hstack([A2, -self.M2], format="csr")
             self._residual_arg = np.empty(2 * n2)
@@ -357,7 +326,7 @@ class _Stepper:
             # the residual over the lumped mass is a nodal rate, like w itself
             self._inv_mass = 1.0 / np.concatenate([ops.lumped, ops.lumped])
         else:
-            self._order, self._chol = _banded_cholesky(ops.stiffness, self.A_u, self.A_v)
+            self._order, self._chol = _banded_cholesky(ops.stiffness, A2)
             self._M2_rows = self.M2[self._order]  # M2 w in the band's order, one product
             self.factorizations = 1
             # RK4 stages k1-k4, the stage argument and the weighted stage sum
@@ -446,16 +415,12 @@ class _Stepper:
     # -- backward Euler with chord Newton ------------------------------------
 
     def _factorize(self, w):
-        """LU-factor the Jacobian at the stacked state w on the run's fixed pattern."""
+        """LU-factor the Jacobian A2 - dt gamma M2 dF at the stacked state w."""
         n = len(w) // 2
         a = self.config.dt * self.config.params.gamma
-        J, a2_values, m_values, derivative = self._jacobian
-        # each entry a2 - a (m d), the value A2 - a * (M2 @ D) gives it
-        np.take(np.concatenate(reaction_jacobian(w[:n], w[n:])), derivative, out=J.data)
-        J.data *= m_values
-        J.data *= a
-        np.subtract(a2_values, J.data, out=J.data)
-        self._lu = _splu(J)
+        f_u, f_v, g_u, g_v = reaction_jacobian(w[:n], w[n:])
+        dF = diags([np.concatenate([f_u, g_v]), f_v, g_u], [0, n, -n])
+        self._lu = _splu((self._A2 - a * (self.M2 @ dF)).tocsc())
         self.factorizations += 1
 
     def _residual(self, w, w_old, a):

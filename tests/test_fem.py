@@ -1,5 +1,7 @@
 """FEM: assembly, IMEX stepping, simulation runs, monitors, exports."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.sparse import bmat, diags
@@ -292,20 +294,32 @@ def _factored_jacobian(monkeypatch, stepper, w):
 
 @pytest.mark.parametrize("lumped", [False, True])
 def test_implicit_jacobian_equals_block_construction(coarse, monkeypatch, lumped):
-    # J = A2 - a M2 D on the stacked operators, entry for entry the
-    # four-block construction, at a state with no structure of its own
+    # J = A2 - a M2 dF on the stacked operators, entry for entry the
+    # four-block construction, at a state with no structure of its own and
+    # at one with u = 0 at some nodes and v = 0 at others: there f_v, g_u
+    # and g_v vanish, and J, a sparse product, stores no zeros for them,
+    # just as the block construction does
     mesh, ops = coarse
     dt, n = 1e-3, len(mesh.vertices)
     stepper = fem._Stepper(ops, RunConfig(TURING, mesh, dt=dt, t_end=1.0, lumped=lumped,
                                           kinetics="implicit"))
+    M, K = _mass(ops, lumped), ops.stiffness
     rng = np.random.default_rng(5)
     u, v = rng.uniform(0.1, 3.0, n), rng.uniform(0.1, 3.0, n)
-    J = _factored_jacobian(monkeypatch, stepper, np.concatenate([u, v]))
-    M, K = _mass(ops, lumped), ops.stiffness
-    J_ref = _block_jacobian(M + dt * K, M + dt * TURING.d * K, M, dt * TURING.gamma, u, v)
-    assert J.shape == J_ref.shape == (2 * n, 2 * n)
-    assert J.nnz == J_ref.nnz
-    assert (J - J_ref).nnz == 0
+    zero_u, zero_v = u.copy(), v.copy()
+    zero_u[::7] = 0.0
+    zero_v[3::7] = 0.0
+    for u, v in ((u, v), (zero_u, zero_v)):
+        J = _factored_jacobian(monkeypatch, stepper, np.concatenate([u, v]))
+        J_ref = _block_jacobian(M + dt * K, M + dt * TURING.d * K, M, dt * TURING.gamma, u, v)
+        assert J.shape == J_ref.shape == (2 * n, 2 * n)
+        assert J.nnz == J_ref.nnz
+        assert (J - J_ref).nnz == 0
+    r = rng.standard_normal(2 * n)
+    x = stepper._lu.solve(r)
+    norm_J = np.abs(J).sum(axis=1).max()
+    backward = np.abs(J @ x - r).max() / (norm_J * np.abs(x).max() + np.abs(r).max())
+    assert backward <= 1e-14
 
 
 @pytest.mark.parametrize("lumped", [False, True])
@@ -321,7 +335,8 @@ def test_implicit_factor_pivots_stiff_state(coarse, monkeypatch, lumped):
     rng = np.random.default_rng(11)
     u = rng.uniform(1.0, 15.0, n)
     a = dt * params.gamma
-    v = (stepper.A_u.diagonal() / (a * stepper.M.diagonal()) + 1.0) / (2.0 * u)
+    M = _mass(ops, lumped)
+    v = ((M + dt * ops.stiffness).diagonal() / (a * M.diagonal()) + 1.0) / (2.0 * u)
     J = _factored_jacobian(monkeypatch, stepper, np.concatenate([u, v]))
     assert np.abs(J.diagonal()[:n]).max() < 1e-12 * np.abs(J).max()
     r = rng.standard_normal(2 * n)
@@ -679,12 +694,9 @@ def test_step_returns_state_apart_from_stepper_buffers(coarse, kinetics):
                if isinstance(a, np.ndarray)]
     # split: the six RK4 buffers, the stacked RCM order and the banded
     # Cholesky factor of diag(A_u, A_v).  implicit: the residual's argument
-    # [w; w^n + dt gamma F(w)], the scaled residual, the reciprocal lumped
-    # mass and the Jacobian pattern's A2 values, M values and derivative
-    # indices; the Jacobian's own value array is written by every refresh
-    assert len(buffers) == {"split": 8, "implicit": 6}[kinetics]
-    if kinetics == "implicit":
-        buffers.append(stepper._jacobian[0].data)
+    # [w; w^n + dt gamma F(w)], the scaled residual and the reciprocal
+    # lumped mass
+    assert len(buffers) == {"split": 8, "implicit": 3}[kinetics]
     state = initial_conditions(TURING, mesh)
     first = stepper.step(state)
     kept = (first.u.copy(), first.v.copy())
@@ -769,6 +781,26 @@ def test_monitor_export_deterministic(tmp_path, coarse):
     assert len(lines) == 1 + 20
     cells = lines[1].split(",")
     assert float(cells[0]) == pytest.approx(1e-3, rel=1e-12)
+
+
+# sha256 of export_monitor's and export_snapshot's (final state) output of
+# a 50-step implicit run on the medium mesh: criterion 12's artifacts run
+# "split" only, so these pin the implicit path's bytes
+IMPLICIT_RUN_DIGESTS = {
+    "monitor.csv": "bb4a9a11b9864d4d60f10710ae0c9558bed2be8334a5ba8ae1e9d7360d65f1a1",
+    "final.txt": "23a63ff5925e2125859da338d12eb7ac25043e5e3b39022f1ed99b970c5954b3",
+}
+
+
+def test_implicit_run_artifact_digests(tmp_path, medium):
+    mesh, ops = medium
+    cfg = RunConfig(TURING, mesh, dt=1e-3, t_end=0.05, threshold=0.0, kinetics="implicit")
+    rec = simulate(cfg, ops)
+    assert (rec.final.step, rec.factorizations, rec.lu_solves) == (50, 2, 199)
+    export_monitor(rec, tmp_path / "monitor.csv")
+    export_snapshot(mesh, rec.final, tmp_path / "final.txt")
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in IMPLICIT_RUN_DIGESTS} == IMPLICIT_RUN_DIGESTS
 
 
 def test_snapshots_taken_by_step_index(coarse):

@@ -4,8 +4,11 @@ For each of the FEM_VARIANTS stored parameter sets of both FEM workloads
 (pattern-implicit and hopf-split, see bench/inputs.py) this runs
 fem.simulate once and prints its factorizations (the banded Cholesky
 factor of hopf-split's diffusion, the Jacobian LUs of pattern-implicit),
-the solves with them, RK4 substeps, the simulate wall time and the
-relative L2 distance of the final u and v to the stored bench reference.
+the solves with them, RK4 substeps, the simulate wall time, the
+relative L2 distance of the final u and v to the stored bench reference and
+a digest: the first 12 hex digits of a sha256 over the final u, v and
+monitor bytes, so the variants can be compared byte for byte between two
+commits.
 The mesh and operators are built once per workload, as bench/workloads.py
 builds them; nothing under bench/ is written.
 
@@ -15,6 +18,7 @@ Usage: python tools/stepper_counts.py [--workload NAME ...] [--variants 0 3 ...]
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
 import time
@@ -40,6 +44,14 @@ def _relative_error(x, ref) -> float:
     return float(np.linalg.norm(x - ref) / np.linalg.norm(ref))
 
 
+def _digest(record) -> str:
+    """The first 12 hex digits of a sha256 over the final u, v and monitor bytes."""
+    sha = hashlib.sha256()
+    for array in (record.final.u, record.final.v, record.monitor):
+        sha.update(array.tobytes())
+    return sha.hexdigest()[:12]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", nargs="+", choices=sorted(FEM_HEADLINE),
@@ -49,7 +61,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     print(f"{'workload':<17}{'var':>4}{'factors':>8}{'solves':>8}{'substeps':>10}"
-          f"{'simulate_s':>12}{'err_u':>11}{'err_v':>11}")
+          f"{'simulate_s':>12}{'err_u':>11}{'err_v':>11}{'digest':>14}")
     for workload in args.workload:
         config, ops = fem_setup(make_inputs(workload, 0), None)
         for variant in args.variants:
@@ -62,7 +74,8 @@ def main(argv=None) -> int:
                 err_u = _relative_error(record.final.u, ref["u"])
                 err_v = _relative_error(record.final.v, ref["v"])
             print(f"{workload:<17}{variant:>4}{record.factorizations:>8}{record.lu_solves:>8}"
-                  f"{record.kinetics_substeps:>10}{elapsed:>12.3f}{err_u:>11.2e}{err_v:>11.2e}",
+                  f"{record.kinetics_substeps:>10}{elapsed:>12.3f}{err_u:>11.2e}{err_v:>11.2e}"
+                  f"{_digest(record):>14}",
                   flush=True)
     return 0
 
