@@ -113,11 +113,13 @@ class PolarSpectralGrid:
 def build_polar_grid(geom: AnnulusGeometry, N: int, M: int) -> PolarSpectralGrid:
     """Build the N x M polar tensor grid on the annulus.
 
-    N is the radial node count (N >= 4); M is the even angular node count
-    (M >= 4). The radial rule is cos(pi j/(N-1)) affinely mapped to [a, b].
+    N is the integer radial node count (N >= 4); M is the even angular node
+    count (M >= 4). The radial rule is cos(pi j/(N-1)) affinely mapped to [a, b].
     """
-    N = int(N)
-    M = int(M)
+    # checked before the integer cast, so N = 95.7 is refused, not truncated
+    if not (float(N).is_integer() and float(M).is_integer()):
+        raise GeometryError(f"node counts must be integers, got N={N}, M={M}")
+    N, M = int(N), int(M)
     if N < 4:
         raise GeometryError(f"radial node count must be at least 4, got {N}")
     if M < 4 or M % 2 != 0:

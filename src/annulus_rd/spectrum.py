@@ -417,8 +417,8 @@ def render_phase_plot(series: EigenfunctionSeries, eta: float,
     pure: identical inputs produce byte-identical files. Returns the
     (resolution, resolution, 3) uint8 image array.
     """
-    if not (8 <= resolution <= 2048):
-        raise SpectrumError(f"resolution must lie in [8, 2048], got {resolution}")
+    if not (float(resolution).is_integer() and 8 <= resolution <= 2048):
+        raise SpectrumError(f"resolution must be an integer in [8, 2048], got {resolution}")
     a, b = grid.a, grid.b
     n = int(resolution)
     coords = -b + 2.0 * b * (np.arange(n) + 0.5) / n

@@ -1,17 +1,25 @@
 """Acceptance checks: twelve numbered criteria, one callable per criterion.
 
-Each criterion_N() returns a CriterionResult with a pass/fail flag, the
-measured runtime, and a one-line detail string. run_all() executes them in
-order and format_table() renders the summary the `verify` subcommand prints.
+Each criterion is declared once, by @criterion(number, name, budget_s) on
+its body: that line is the only place its number, name and wall-time
+budget are written. The body returns (passed, detail). The registered
+criterion_N() times it, fails it at its budget and returns a
+CriterionResult; registration also adds it to ALL_CRITERIA in number
+order. run_all() executes them in order and format_table() renders the
+summary the `verify` subcommand prints.
 
 The two long-running criteria (9 and 10) share their simulation records
-through a module-level cache (headline_run), so invoking them in either
-order never repeats a multi-minute run within one process. Criterion 12
-runs the CLI's own subcommands twice and compares the files' digests.
+through headline_run's cache, so invoking them in either order never
+repeats a multi-minute run within one process. Each checks the wall time
+of the run itself, which its own runtime does not hold when the other
+criterion made the run. Criterion 12 runs the CLI's own subcommands twice
+and compares the files' digests.
 """
 
 from __future__ import annotations
 
+import functools
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,8 +79,6 @@ PEAK_START = 2.0
 PEAK_SEPARATION = 0.5
 PEAK_HEIGHT = 5e-4
 
-_cache: dict = {}
-
 
 @dataclass(frozen=True)
 class CriterionResult:
@@ -87,34 +93,54 @@ class CriterionResult:
         return f"[{self.number:2d}] {mark}  {self.name}  ({self.runtime_s:.1f} s)  {self.detail}"
 
 
-def _result(number, name, passed, t0, detail) -> CriterionResult:
-    return CriterionResult(number, name, bool(passed), time.perf_counter() - t0, detail)
+# the registered criteria in number order, filled by @criterion
+ALL_CRITERIA: list = []
+
+
+def criterion(number: int, name: str, budget_s: float | None = None):
+    """Register the decorated body as criterion `number`, in ALL_CRITERIA.
+
+    The body takes no arguments and returns (passed, detail). The
+    registered callable times it, fails it if it ran budget_s seconds or
+    longer, and returns its CriterionResult.
+    """
+    def register(body):
+        @functools.wraps(body)
+        def run() -> CriterionResult:
+            t0 = time.perf_counter()
+            passed, detail = body()
+            runtime = time.perf_counter() - t0
+            if budget_s is not None and runtime >= budget_s:
+                passed, detail = False, f"{detail}; over its {budget_s:g} s budget"
+            return CriterionResult(number, name, bool(passed), runtime, detail)
+
+        run.number, run.name = number, name
+        ALL_CRITERIA.append(run)
+        ALL_CRITERIA.sort(key=lambda c: c.number)
+        return run
+    return register
 
 
 def _half_unit_annulus() -> geometry.AnnulusGeometry:
     return geometry.make_annulus(0.5, 1.0)
 
 
+@functools.cache
 def _desk_mesh() -> geometry.TriMesh:
-    if "desk_mesh" not in _cache:
-        _cache["desk_mesh"] = geometry.triangulate_annulus(
-            _half_unit_annulus(), geometry.DESK_SCALE_H)
-    return _cache["desk_mesh"]
+    return geometry.triangulate_annulus(_half_unit_annulus(), geometry.DESK_SCALE_H)
 
 
 # ---------------------------------------------------------------------------
 # criteria 1-4: spectrum
 # ---------------------------------------------------------------------------
 
-def criterion_1() -> CriterionResult:
-    """Reference spectrum table reproduced within 1e-3 absolute, under 1 s."""
-    t0 = time.perf_counter()
+@criterion(1, "spectrum table vs published values", budget_s=1.0)
+def criterion_1():
+    """Reference spectrum table reproduced within 1e-3 absolute."""
     table = spectrum.spectrum_table(REFERENCE_K, REFERENCE_L, _half_unit_annulus())
     dev = float(np.abs(table.eta - REFERENCE_ETA).max())
-    runtime = time.perf_counter() - t0
-    passed = dev < 1e-3 and runtime < 1.0
-    return _result(1, "spectrum table vs published values", passed, t0,
-                   f"max |d eta| {dev:.2e} (tol 1e-3), {len(REFERENCE_K) * len(REFERENCE_L)} entries")
+    return dev < 1e-3, (f"max |d eta| {dev:.2e} (tol 1e-3), "
+                        f"{len(REFERENCE_K) * len(REFERENCE_L)} entries")
 
 
 def _random_modes(n: int, seed: int):
@@ -128,28 +154,25 @@ def _random_modes(n: int, seed: int):
     return ks, ls, avals, rhos
 
 
-def criterion_2() -> CriterionResult:
-    """Two-part eigenvalue split sums exactly over 1e4 random modes, under 1 s."""
-    t0 = time.perf_counter()
+@criterion(2, "two-part eigenvalue superposition", budget_s=1.0)
+def criterion_2():
+    """Two-part eigenvalue split sums exactly over 1e4 random modes."""
     n = 10_000
     ks, ls, avals, rhos = _random_modes(n, seed=20260814)
     total = spectrum._eigenvalues(ks, ls, avals, avals + rhos)
     _, _, part1, part2 = spectrum._closed_form(ks, ls, avals, avals + rhos)
     worst = float(np.max(np.abs(total - (part1 + part2)) / np.abs(total)))
-    runtime = time.perf_counter() - t0
-    passed = worst < 1e-12 and runtime < 1.0
-    return _result(2, "two-part eigenvalue superposition", passed, t0,
-                   f"worst rel {worst:.2e} over {n} modes (tol 1e-12), {runtime:.2f} s")
+    return worst < 1e-12, f"worst rel {worst:.2e} over {n} modes (tol 1e-12)"
 
 
-def criterion_3() -> CriterionResult:
+@criterion(3, "weighting composition and monotonicity")
+def criterion_3():
     """Weighting x order factor equals the closed form as printed; f monotone; f(0) exact.
 
     The printed formula (module docstring of spectrum) is evaluated in plain
     powers, which stay finite over the sampled modes, against the log-space
     kernel behind eigenvalue().
     """
-    t0 = time.perf_counter()
     n = 10_000
     k, l, a, rho = _random_modes(n, seed=20260815)
     b = a + rho
@@ -167,14 +190,13 @@ def criterion_3() -> CriterionResult:
     f0, _, _, _ = spectrum._closed_form(0, 0.0, aa, aa + rr)
     exact_ok = bool(np.all(f0 == 1.0 / (aa * (rr + aa))))
 
-    passed = composition_ok and monotone_ok and exact_ok
-    return _result(3, "weighting composition and monotonicity", passed, t0,
-                   f"composition rel {worst:.2e}, monotone {monotone_ok}, f(l=0) exact {exact_ok}")
+    return (composition_ok and monotone_ok and exact_ok,
+            f"composition rel {worst:.2e}, monotone {monotone_ok}, f(l=0) exact {exact_ok}")
 
 
-def criterion_4() -> CriterionResult:
-    """Collocation residual < 1e-6 for 8 modes at N=95, under 5 s."""
-    t0 = time.perf_counter()
+@criterion(4, "spectral collocation residual", budget_s=5.0)
+def criterion_4():
+    """Collocation residual < 1e-6 for 8 modes at N=95."""
     geom = _half_unit_annulus()
     grid = geometry.build_polar_grid(geom, N=95, M=90)
     worst = 0.0
@@ -187,10 +209,7 @@ def criterion_4() -> CriterionResult:
             res = spectrum.collocation_residual(series, eta, grid)
             if res > worst:
                 worst, worst_mode = res, mode
-    runtime = time.perf_counter() - t0
-    passed = worst < 1e-6 and runtime < 5.0
-    return _result(4, "spectral collocation residual", passed, t0,
-                   f"worst {worst:.2e} at k={worst_mode.k} l={worst_mode.l} (tol 1e-6)")
+    return worst < 1e-6, f"worst {worst:.2e} at k={worst_mode.k} l={worst_mode.l} (tol 1e-6)"
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +223,8 @@ def _sweep_spec(gamma: float, d: float, n: int = 200) -> partition.SweepSpec:
         mode=spectrum.ModeIndex(0, 0.27), geom=_half_unit_annulus())
 
 
-def criterion_5() -> CriterionResult:
+@criterion(5, "region census clauses", budget_s=30.0)
+def criterion_5():
     """Region-census clauses: two attainable ones plus the nesting clause.
 
     The third clause (set nesting of the stable-node region as d grows)
@@ -213,7 +233,6 @@ def criterion_5() -> CriterionResult:
     is non-monotone in d, so cells keep leaving the node set even though
     its cardinality grows. The clause is evaluated faithfully and reported.
     """
-    t0 = time.perf_counter()
     quiet = partition.sweep_classify(_sweep_spec(gamma=1.0, d=1.4))
     counts_quiet = quiet.counts()
     clause1 = (counts_quiet["HopfInstability"] == 0
@@ -233,19 +252,16 @@ def criterion_5() -> CriterionResult:
     lost = [int(np.sum(prev & ~cur)) for prev, cur in zip(masks, masks[1:])]
     sizes = [int(m.sum()) for m in masks]
     clause3 = all(n == 0 for n in lost)
-
-    runtime = time.perf_counter() - t0
-    passed = clause1 and clause2 and clause3 and runtime < 30.0
-    return _result(
-        5, "region census clauses", passed, t0,
+    return (
+        clause1 and clause2 and clause3,
         f"quiet Hopf/transcritical {counts_quiet['HopfInstability']}/"
         f"{counts_quiet['TranscriticalCurve']}, active Hopf {counts_active['HopfInstability']}"
         f" curve pts {len(tc_curve)}, node sizes {sizes} cells lost per d step {lost}")
 
 
-def criterion_6() -> CriterionResult:
+@criterion(6, "partition curve residuals")
+def criterion_6():
     """Curve points from dual root-finding satisfy their defining equations."""
-    t0 = time.perf_counter()
     worst_disc = 0.0
     worst_tc = 0.0
     total = 0
@@ -263,31 +279,28 @@ def criterion_6() -> CriterionResult:
                 stability.KineticParams(alpha, beta, gamma, d), eta_sq)
             worst_tc = max(worst_tc, abs(T) / (1.0 + abs(T)))
         total += len(curves.discriminant) + len(curves.transcritical)
-    passed = worst_disc < 1e-8 and worst_tc < 1e-8
-    return _result(6, "partition curve residuals", passed, t0,
-                   f"{total} points, residuals disc {worst_disc:.2e} trace {worst_tc:.2e}"
-                   " (tol 1e-8, dual-method agreement enforced inside)")
+    return (worst_disc < 1e-8 and worst_tc < 1e-8,
+            f"{total} points, residuals disc {worst_disc:.2e} trace {worst_tc:.2e}"
+            " (tol 1e-8, dual-method agreement enforced inside)")
 
 
-def criterion_7() -> CriterionResult:
+@criterion(7, "sweep vs first-principles labels")
+def criterion_7():
     """Sweep labels equal a first-principles growth-rate classification."""
-    t0 = time.perf_counter()
     spec = _sweep_spec(gamma=21.0, d=8.0, n=100)
     swept = partition.sweep_classify(spec)
     independent = partition.first_principles_labels(spec)
     mismatches = int(np.sum(swept.labels != independent))
-    passed = mismatches == 0
-    return _result(7, "sweep vs first-principles labels", passed, t0,
-                   f"{mismatches} mismatches on 100x100")
+    return mismatches == 0, f"{mismatches} mismatches on 100x100"
 
 
 # ---------------------------------------------------------------------------
 # criteria 8-10: finite elements
 # ---------------------------------------------------------------------------
 
-def criterion_8() -> CriterionResult:
+@criterion(8, "uniform state is a fixed point", budget_s=10.0)
+def criterion_8():
     """Uniform steady state preserved to 1e-12 per step, 5 random parameter sets."""
-    t0 = time.perf_counter()
     mesh = _desk_mesh()
     ops = fem.assemble(mesh)
     gen = rng(20260816)
@@ -310,37 +323,32 @@ def criterion_8() -> CriterionResult:
                 break
         if worst > 1e-12:
             break
-    runtime = time.perf_counter() - t0
-    passed = worst <= 1e-12 and runtime < 10.0
-    return _result(8, "uniform state is a fixed point", passed, t0,
-                   f"worst per-step drift {worst:.2e} (tol 1e-12), {runtime:.1f} s")
+    return worst <= 1e-12, f"worst per-step drift {worst:.2e} (tol 1e-12)"
 
 
+@functools.cache
 def headline_run(name: str) -> tuple[fem.RunRecord, float]:
     """Headline run "turing" or "hopf" and its wall time (cached)."""
-    if name not in _cache:
-        config = fem.RunConfig(mesh=_desk_mesh(), dt=1e-3, **_HEADLINE_RUNS[name])
-        start = time.perf_counter()
-        record = fem.simulate(config)
-        _cache[name] = (record, time.perf_counter() - start)
-    return _cache[name]
+    config = fem.RunConfig(mesh=_desk_mesh(), dt=1e-3, **_HEADLINE_RUNS[name])
+    start = time.perf_counter()
+    record = fem.simulate(config)
+    return record, time.perf_counter() - start
 
 
-def criterion_9() -> CriterionResult:
-    """Pattern run: threshold termination with non-uniform u, under 10 min."""
-    t0 = time.perf_counter()
+@criterion(9, "stationary pattern run")
+def criterion_9():
+    """Pattern run: threshold termination with non-uniform u, run wall under 10 min."""
     record, wall = headline_run("turing")
     contrast = float(record.final.u.max() - record.final.u.min())
-    passed = (record.termination == "threshold" and contrast > 0.1 and wall < 600.0)
-    return _result(9, "stationary pattern run", passed, t0,
-                   f"terminated by {record.termination} at t={record.final.t:.3f}, "
-                   f"u contrast {contrast:.4f} (needs > 0.1), run wall {wall:.0f} s, "
-                   f"{record.factorizations} factorizations, {record.lu_solves} LU solves")
+    return (record.termination == "threshold" and contrast > 0.1 and wall < 600.0,
+            f"terminated by {record.termination} at t={record.final.t:.3f}, "
+            f"u contrast {contrast:.4f} (needs > 0.1), run wall {wall:.0f} s, "
+            f"{record.factorizations} factorizations, {record.lu_solves} LU solves")
 
 
-def criterion_10() -> CriterionResult:
-    """Oscillatory run: recurrent monitor maxima; pattern run decays monotonically."""
-    t0 = time.perf_counter()
+@criterion(10, "recurrent oscillation run")
+def criterion_10():
+    """Oscillatory run: recurrent maxima, run wall under 20 min; pattern run decays."""
     record, wall = headline_run("hopf")
     peaks = fem.monitor_peaks(record, species="u", start_time=PEAK_START,
                               min_separation=PEAK_SEPARATION, min_height=PEAK_HEIGHT)
@@ -360,21 +368,20 @@ def criterion_10() -> CriterionResult:
     worst_rise = float(np.diff(tail).max()) if len(tail) > 1 else 0.0
     monotone_ok = len(pattern_peaks) <= 1 and worst_rise < 1e-6
 
-    passed = recurrent_ok and monotone_ok and wall < 1200.0
-    return _result(10, "recurrent oscillation run", passed, t0,
-                   f"{len(early)} peaks by t=15 (needs >= 2), {len(peaks)} by t=30; "
-                   f"pattern run has {len(pattern_peaks)} peak(s), decay rise "
-                   f"{worst_rise:.1e}; run wall {wall:.0f} s, "
-                   f"{record.kinetics_substeps} RK4 substeps")
+    return (recurrent_ok and monotone_ok and wall < 1200.0,
+            f"{len(early)} peaks by t=15 (needs >= 2), {len(peaks)} by t=30; "
+            f"pattern run has {len(pattern_peaks)} peak(s), decay rise "
+            f"{worst_rise:.1e}; run wall {wall:.0f} s, "
+            f"{record.kinetics_substeps} RK4 substeps")
 
 
 # ---------------------------------------------------------------------------
 # criteria 11-12: mesh fidelity and determinism
 # ---------------------------------------------------------------------------
 
-def criterion_11() -> CriterionResult:
+@criterion(11, "fine mesh fidelity")
+def criterion_11():
     """Fine triangulation hits the published element counts and quality floor."""
-    t0 = time.perf_counter()
     geom = _half_unit_annulus()
     mesh = geometry.triangulate_annulus(geom, geometry.PAPER_FIDELITY_H)
     n_tri = len(mesh.triangles)
@@ -385,10 +392,9 @@ def criterion_11() -> CriterionResult:
     area_err = abs(area - exact) / exact
     tri_ok = abs(n_tri - 6340) <= 0.05 * 6340
     vert_ok = abs(n_vert - 3333) <= 0.05 * 3333
-    passed = tri_ok and vert_ok and quality >= 0.3 and area_err < 0.01
-    return _result(11, "fine mesh fidelity", passed, t0,
-                   f"{n_tri} triangles / {n_vert} vertices (targets 6340/3333 +-5%), "
-                   f"min quality {quality:.3f}, area err {area_err:.2e}")
+    return (tri_ok and vert_ok and quality >= 0.3 and area_err < 0.01,
+            f"{n_tri} triangles / {n_vert} vertices (targets 6340/3333 +-5%), "
+            f"min quality {quality:.3f}, area err {area_err:.2e}")
 
 
 # Criterion 12's artifact set: CLI subcommands run at their defaults but for
@@ -414,33 +420,22 @@ def _artifact_set(out_dir: Path) -> dict[str, str]:
     return digests
 
 
-def criterion_12(work_dir=None) -> CriterionResult:
+@criterion(12, "artifact determinism")
+def criterion_12():
     """The artifact pipeline is bit-reproducible: two runs, identical digests."""
-    import tempfile
-
-    t0 = time.perf_counter()
-    if work_dir is None:
-        with tempfile.TemporaryDirectory(prefix="verify-determinism-") as tmp:
-            return criterion_12(tmp)
-    work_dir = Path(work_dir)
-    first = _artifact_set(work_dir / "run1")
-    second = _artifact_set(work_dir / "run2")
+    with tempfile.TemporaryDirectory(prefix="verify-determinism-") as tmp:
+        first = _artifact_set(Path(tmp) / "run1")
+        second = _artifact_set(Path(tmp) / "run2")
     same_names = set(first) == set(second)
     differing = [name for name in first if same_names and first[name] != second[name]]
     passed = same_names and not differing
-    detail = (f"{len(first)} artifacts, digests identical" if passed
-              else f"mismatch: {differing or 'different file sets'}")
-    return _result(12, "artifact determinism", passed, t0, detail)
+    return passed, (f"{len(first)} artifacts, digests identical" if passed
+                    else f"mismatch: {differing or 'different file sets'}")
 
 
 # ---------------------------------------------------------------------------
 # orchestration
 # ---------------------------------------------------------------------------
-
-ALL_CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
-                criterion_6, criterion_7, criterion_8, criterion_9, criterion_10,
-                criterion_11, criterion_12)
-
 
 def run_all() -> list[CriterionResult]:
     """Run the full battery in order. Criteria 9/10 dominate the runtime."""

@@ -1,14 +1,13 @@
-"""Acceptance criteria, one test per criterion.
+"""Acceptance criteria: one parametrized test runs every registered criterion.
 
-Each test runs the corresponding check from annulus_rd.verify, prints its
+Each case runs one criterion of annulus_rd.verify's registry, prints its
 PASS/FAIL line (collected again in the terminal summary), and asserts it.
 Criterion 5 contains a region-nesting claim that measurably does not hold
-for the stable-node label; that single criterion is a strict xfail, with
-its attainable clauses asserted separately below so regressions in them
-still fail loudly.
+for the stable-node label; that case is a strict xfail, with its attainable
+clauses asserted separately below so regressions in them still fail loudly.
 
-Ordering matters for speed: criterion 9 runs before 10 so the two long
-simulations can share the module-level cache in annulus_rd.verify.
+Cases run in number order, so criteria 9 and 10 share their two long
+simulations through verify.headline_run's cache.
 """
 
 import tempfile
@@ -20,34 +19,38 @@ from annulus_rd import verify
 
 from conftest import ACCEPTANCE_LINES
 
+_NESTING_FAILS = pytest.mark.xfail(
+    strict=True, reason="the stable-node region does not nest with growing d; "
+                        "clause 3 of this criterion fails by measurement")
 
-def _check(result):
+
+def test_registry_holds_criteria_in_order():
+    numbers = [c.number for c in verify.ALL_CRITERIA]
+    assert numbers == list(range(1, 13))
+    assert verify.ALL_CRITERIA == [getattr(verify, f"criterion_{n}") for n in numbers]
+    names = [c.name for c in verify.ALL_CRITERIA]
+    assert len(set(names)) == len(names)
+
+
+@pytest.mark.parametrize("criterion", [
+    pytest.param(c, id=str(c.number), marks=_NESTING_FAILS if c.number == 5 else ())
+    for c in verify.ALL_CRITERIA])
+def test_criterion(criterion):
+    result = criterion()
     print(result.line())
     ACCEPTANCE_LINES.append(result.line())
     assert result.passed, result.detail
 
 
-def test_criterion_1_reference_eigenvalue_table():
-    _check(verify.criterion_1())
-
-
-def test_criterion_2_superposition():
-    _check(verify.criterion_2())
-
-
-def test_criterion_3_weighting():
-    _check(verify.criterion_3())
-
-
-def test_criterion_4_series_collocation():
-    _check(verify.criterion_4())
-
-
-@pytest.mark.xfail(strict=True,
-                   reason="the stable-node region does not nest with growing d; "
-                          "clause 3 of this criterion fails by measurement")
-def test_criterion_5_parameter_plane():
-    _check(verify.criterion_5())
+def test_registered_budget_fails_a_slow_criterion(monkeypatch):
+    monkeypatch.setattr(verify, "ALL_CRITERIA", [])
+    slow = verify.criterion(2, "slow", budget_s=0.0)(lambda: (True, "fine"))
+    free = verify.criterion(1, "free")(lambda: (True, "fine"))
+    assert verify.ALL_CRITERIA == [free, slow]
+    within, over = free(), slow()
+    assert (within.number, within.name, within.passed, within.detail) == (1, "free", True, "fine")
+    assert (over.number, over.name, over.passed) == (2, "slow", False)
+    assert over.detail == "fine; over its 0 s budget"
 
 
 def test_criterion_5_attainable_clauses():
@@ -71,38 +74,18 @@ def test_criterion_5_attainable_clauses():
     assert len(pts) == 6
 
 
-def test_criterion_6_curve_residuals():
-    _check(verify.criterion_6())
-
-
-def test_criterion_7_sweep_oracle_equivalence():
-    _check(verify.criterion_7())
-
-
-def test_criterion_8_fixed_point():
-    _check(verify.criterion_8())
-
-
-def test_criterion_9_pattern_formation_run():
-    _check(verify.criterion_9())
-
-
 def test_criterion_10_oscillation_run():
-    result = verify.criterion_10()
-    _check(result)
+    # the oscillatory run is split kinetics: it counts its RK4 substeps and
+    # criterion 10 reports them
     record, _ = verify.headline_run("hopf")
     assert record.kinetics_substeps > 0
-    assert f"{record.kinetics_substeps} RK4 substeps" in result.detail
-
-
-def test_criterion_11_mesh_fidelity():
-    _check(verify.criterion_11())
+    assert f"{record.kinetics_substeps} RK4 substeps" in verify.criterion_10().detail
 
 
 def test_criterion_12_byte_reproducibility(tmp_path, monkeypatch):
-    # the default work directory is temporary and must be removed afterwards
+    # the work directory is temporary and must be removed afterwards
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    _check(verify.criterion_12())
+    assert verify.criterion_12().passed
     assert list(tmp_path.iterdir()) == []
 
 

@@ -439,14 +439,52 @@ def test_implicit_keeps_factor_while_contracting(coarse):
     assert rec.lu_solves <= 889
 
 
-def test_implicit_refresh_budget_exhausted(coarse):
+def test_implicit_refresh_budget_exhausted(coarse, monkeypatch):
     # a step far too long for the stiff Hopf kinetics (dt gamma = 365): after
     # one contracting correction the residual grows under every refreshed
-    # factor, and the step fails once the refresh budget is spent
+    # factor, and the step fails once the refresh budget is spent, within
+    # the 36 residual evaluations that budget allows a step
     mesh, ops = coarse
     cfg = RunConfig(HOPF, mesh, dt=0.5, t_end=1.0, threshold=0.0, kinetics="implicit")
+    residual, evaluations = fem._Stepper._residual, []
+
+    def counting(self, w, w_old, a):
+        evaluations.append(w)
+        return residual(self, w, w_old, a)
+
+    monkeypatch.setattr(fem._Stepper, "_residual", counting)
     with pytest.raises(FemError, match=r"Newton not converging at step 0 \(residual "):
         simulate(cfg, ops)
+    assert len(evaluations) <= 36
+
+
+# finite residual maxima that contract a hundredfold a correction and stay
+# above the tolerance: a factor makes all six of its corrections
+_CONTRACTING = [1e6 * 100.0 ** -k for k in range(6)]
+
+
+@pytest.mark.parametrize("residuals, message, factorizations", [
+    # the extrapolated start and the old state both non-finite: there is no
+    # finite iterate to fall back to
+    ([np.nan, np.nan], "Newton residual non-finite at step 0", 1),
+    # the longest step the refresh budget allows, 36 residual evaluations: a
+    # restart from the overshot extrapolation, then 5 factors of 6
+    # corrections, each factor ended by a non-finite residual that
+    # refactors at the best iterate
+    ([np.nan] + (_CONTRACTING + [np.nan]) * 5, "Newton stalled at step 0", 6),
+], ids=["non-finite", "stalled"])
+def test_implicit_step_failure_exits(coarse, residuals, message, factorizations):
+    mesh, ops = coarse
+    stepper = fem._Stepper(ops, RunConfig(DAMPED, mesh, dt=1e-3, t_end=1.0, kinetics="implicit"))
+    script = iter(residuals)  # the residual maxima in order, each with R = 0
+    stepper._residual = lambda w, w_old, a: (np.zeros_like(w), next(script))
+    state = initial_conditions(DAMPED, mesh)
+    w_old = _stacked(state)
+    stepper._prev = ((state.step - 1, w_old),)  # the start is extrapolated
+    with pytest.raises(FemError, match=message):
+        stepper._backward_euler(w_old, state)
+    assert next(script, None) is None
+    assert stepper.factorizations == factorizations
 
 
 def test_implicit_decay_has_no_jitter(coarse):

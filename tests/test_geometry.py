@@ -73,6 +73,15 @@ def test_polar_grid_validation():
         build_polar_grid(geom, N=10, M=7)  # odd angular count
 
 
+@pytest.mark.parametrize("N, M", [(95.7, 90), (95, 90.9), (np.nan, 90), (95, np.inf)])
+def test_polar_grid_refuses_non_integer_sizes(N, M):
+    # refused before the integer cast, which would truncate 95.7 to 95
+    with pytest.raises(GeometryError, match="node counts must be integers"):
+        build_polar_grid(make_annulus(0.5, 1.0), N=N, M=M)
+    grid = build_polar_grid(make_annulus(0.5, 1.0), N=95.0, M=np.int64(90))
+    assert (grid.N, grid.M, len(grid.radial_nodes)) == (95, 90, 95)
+
+
 def test_triangulation_deterministic():
     geom = make_annulus(0.5, 1.0)
     m1 = triangulate_annulus(geom, 0.15)

@@ -305,6 +305,17 @@ def test_render_phase_plot_pure(tmp_path):
     assert data.endswith(img1.tobytes())
 
 
+@pytest.mark.parametrize("resolution", [100.5, 8.9, np.nan, 7, 2049])
+def test_render_phase_plot_refuses_resolution(tmp_path, resolution):
+    # a non-integer side would be truncated: 100.5 rendered 100 x 100
+    mode = ModeIndex(1, 1.3)
+    path = tmp_path / "mode.ppm"
+    with pytest.raises(SpectrumError, match=r"resolution must be an integer in \[8, 2048\]"):
+        render_phase_plot(build_series(mode), float(np.sqrt(eigenvalue(mode, GEOM))),
+                          build_polar_grid(GEOM, N=16, M=8), path, resolution=resolution)
+    assert list(tmp_path.iterdir()) == []
+
+
 # sha256 of render_phase_plot's PPM bytes, (a, b), k, l, resolution; no
 # pixel centre of the 8 px grid falls inside the 0.96-1 annulus
 RENDER_GOLDEN = {
