@@ -15,6 +15,28 @@ import numpy as np
 # tens of GB; a sweep of 2000 x 2000 cells is the largest timed.
 SIZE_LIMIT = 4_000_000
 
+# The most entries one block of a whole-grid array pass holds: the sweep,
+# the curves' sign scan and the eigenmode render each work block by block,
+# so their temporaries stay this size however large the grid. Chosen by
+# timing the plane-analysis stages at 2048 to 32768 on a 2-core x86 host:
+# below 16384 the per-block numpy calls cost more than they save (a
+# two-thread 400 x 400 sweep took 15 ms at 4096, 6 ms here), and a block's
+# complex temporaries, 256 KB, still fit a core's L2 cache.
+BLOCK = 16384
+
+
+def blocks(n_rows: int, n_cols: int):
+    """Row-major tiling of an n_rows x n_cols grid into blocks of at most BLOCK cells.
+
+    Yields (rows, cols) slice pairs: BLOCK // n_cols whole rows at a time,
+    or, where one row holds more than BLOCK cells, that row in pieces of
+    BLOCK. Either way the blocks visit the cells in row-major order.
+    """
+    rows, cols = max(1, BLOCK // n_cols), min(n_cols, BLOCK)
+    for r0 in range(0, n_rows, rows):
+        for c0 in range(0, n_cols, cols):
+            yield slice(r0, min(r0 + rows, n_rows)), slice(c0, min(c0 + cols, n_cols))
+
 
 def rng(seed) -> np.random.Generator:
     """Central RNG constructor; the seed is required, so no draw is unseeded."""

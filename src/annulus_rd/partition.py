@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _util
 from ._util import SIZE_LIMIT
 from .geometry import AnnulusGeometry
 from .spectrum import ModeIndex, eigenvalue
@@ -121,30 +122,38 @@ class RegionMap:
 
 
 def sweep_classify(spec: SweepSpec, threads: int = 1) -> RegionMap:
-    """Classify every grid cell; optionally share rows across worker threads.
+    """Classify every grid cell, in blocks of at most _util.BLOCK cells.
 
-    At most one worker runs per row and per core, whatever threads asks.
-    Results are gathered by row index, so the map is identical for any
+    Each block of rows (or piece of a row longer than a block) is
+    classified on its own and written into its place in the map, so no
+    temporary spans the whole grid. threads, an integer of at least 1,
+    caps the worker threads a pool maps the blocks over; at most one
+    worker runs per row and per core, whatever threads asks. Every cell
+    is computed alike in any block, so the map is identical for any
     thread count.
     """
-    A = spec.alphas[None, :]
+    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise PartitionInputError(f"threads must be an integer of at least 1, got {threads!r}")
+    alphas, betas = spec.alphas, spec.betas
     eta_sq = spec.eta_sq
-    betas = spec.betas
+    labels = np.empty((spec.n_beta, spec.n_alpha), dtype=np.int8)
 
-    def rows(j0: int, j1: int) -> np.ndarray:
-        B = betas[j0:j1, None]
-        return _label_codes(*_trace_det(A, B, spec.gamma, spec.d, eta_sq, spec.form))
+    def classify(block) -> None:
+        rows, cols = block
+        T, D = _trace_det(alphas[None, cols], betas[rows, None], spec.gamma, spec.d, eta_sq,
+                          spec.form)
+        labels[rows, cols] = _label_codes(T, D)
 
-    # a worker past one per row would only get an empty chunk, and one past
+    grid_blocks = _util.blocks(spec.n_beta, spec.n_alpha)
+    # a worker past one per row would have no row of its own, and one past
     # one per core would only wait for a core
     threads = min(threads, spec.n_beta, os.cpu_count() or 1)
-    if threads <= 1:
-        labels = rows(0, spec.n_beta)
+    if threads == 1:
+        for block in grid_blocks:
+            classify(block)
     else:
-        bounds = np.linspace(0, spec.n_beta, threads + 1).astype(int)
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda ij: rows(*ij), zip(bounds[:-1], bounds[1:])))
-        labels = np.vstack(chunks)
+            list(pool.map(classify, grid_blocks))
     labels.setflags(write=False)
     return RegionMap(spec, labels)
 
@@ -249,8 +258,10 @@ def _bisect_roots(fn, alphas: np.ndarray, lo: float, hi: float,
                   samples: int = 2001) -> list[np.ndarray]:
     """All simple roots in beta on [lo, hi] of fn(alpha, beta), for each alpha.
 
-    fn broadcasts over its two arguments. One call evaluates it on the beta
-    grid linspace(lo, hi, samples) for every alpha; a sign change between
+    fn broadcasts over its two arguments. It is evaluated on the beta grid
+    linspace(lo, hi, samples) for every alpha, one block of at most
+    _util.BLOCK grid values per call (_util.blocks: whole alpha rows, or
+    pieces of one row, in row-major order); a sign change between
     neighbouring grid values brackets a root, and the brackets of all
     alphas are halved together, one fn call per halving. A bracket stops
     at an exact zero of fn, once narrower than 1e-15 max(1, |midpoint|), or
@@ -258,10 +269,26 @@ def _bisect_roots(fn, alphas: np.ndarray, lo: float, hi: float,
     Returns one sorted array per alpha, with roots closer than 1e-8 merged.
     """
     grid = np.linspace(lo, hi, samples)
-    vals = fn(alphas[:, None], grid)
-    sign = np.sign(vals)
-    rows, cols = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
-    alpha, x0, x1, f0 = alphas[rows], grid[cols], grid[cols + 1], vals[rows, cols]
+    # brackets and zero cells in row-major order, block by block
+    rows, cols, f0 = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
+    zero_rows, zero_cols = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    for block_rows, block_cols in _util.blocks(len(alphas), samples):
+        vals = fn(alphas[block_rows, None], grid[block_cols])
+        r, c = np.nonzero(vals == 0.0)
+        zero_rows.append(r + block_rows.start)
+        zero_cols.append(c + block_cols.start)
+        first = block_cols.start
+        if first:  # a piece of a row: its first bracket starts at the last value before it
+            vals, first = np.concatenate([last, vals], axis=1), first - 1
+        last = vals[:, -1:]
+        sign = np.sign(vals)
+        r, c = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
+        rows.append(r + block_rows.start)
+        cols.append(c + first)
+        f0.append(vals[r, c])
+    rows, cols, f0 = np.concatenate(rows), np.concatenate(cols), np.concatenate(f0)
+    zero_rows, zero_cols = np.concatenate(zero_rows), np.concatenate(zero_cols)
+    alpha, x0, x1 = alphas[rows], grid[cols], grid[cols + 1]
     live = np.arange(len(rows))
     for _ in range(200):
         if not live.size:
@@ -275,7 +302,6 @@ def _bisect_roots(fn, alphas: np.ndarray, lo: float, hi: float,
         x0[live[up]], f0[live[up]] = xm[up], fm[up]
         x1[live[down]] = xm[down]
         live = live[~done]
-    zero_rows, zero_cols = np.nonzero(vals == 0.0)
     found = np.concatenate([0.5 * (x0 + x1), grid[zero_cols]])
     owner = np.concatenate([rows, zero_rows])
     order = np.lexsort((found, owner))
@@ -309,8 +335,8 @@ def _cross_checked_roots(poly_roots: np.ndarray, bisect_roots: np.ndarray,
     return poly_roots
 
 
-# alpha samples per batch in _curve: a batch's bisection grid holds
-# _CURVE_BATCH * 2001 values, so memory stays bounded however many samples
+# alpha samples per batch in _curve: a batch's companion matrices and
+# bisection brackets grow with it, so memory stays bounded however many samples
 _CURVE_BATCH = 256
 
 

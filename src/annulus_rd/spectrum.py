@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma, gammaln, hankel1, jv, yv
 
+from . import _util
 from .geometry import AnnulusGeometry, PolarSpectralGrid
 
 HALF_INTEGER_TOL = 1e-9
@@ -327,14 +328,18 @@ def eigenfunction_value(series: EigenfunctionSeries, eta: float, r, theta):
     grid does).
     """
     r = np.asarray(r, dtype=np.float64)
-    theta = np.mod(np.asarray(theta, dtype=np.float64), 2.0 * np.pi)
+    theta = np.asarray(theta, dtype=np.float64)
     shape = np.broadcast_shapes(r.shape, theta.shape)
     radii, inverse = np.unique(np.broadcast_to(r, shape).ravel(), return_inverse=True)
-    radial = radial_part(series, eta, radii)[inverse]
-    w = radial.reshape(shape) * np.exp(1j * series.mode.l * theta)
+    w = _with_phase(radial_part(series, eta, radii)[inverse].reshape(shape), series.mode.l, theta)
     if w.shape == ():
         return complex(w)
     return w
+
+
+def _with_phase(radial: np.ndarray, l: float, theta) -> np.ndarray:
+    """radial * exp(i l theta), theta reduced to the principal angle in [0, 2 pi) first."""
+    return radial * np.exp(1j * l * np.mod(theta, 2.0 * np.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -391,18 +396,21 @@ def collocation_residual(series: EigenfunctionSeries, eta: float,
 # rendering
 # ---------------------------------------------------------------------------
 
+# channel sources (r, g, b) of each hue sextant, as rows of the stack (v, q, p, t)
+_SEXTANT = np.array([[0, 3, 2], [1, 0, 2], [2, 0, 3], [2, 1, 0], [3, 2, 0], [0, 2, 1]])
+
+
 def _hsv_to_rgb(h: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Vectorized HSV -> RGB at saturation 1, all channels in [0, 1]."""
+    """Vectorized HSV -> RGB at saturation 1, all channels in [0, 1].
+
+    Each channel is one of v, q, p = 0 and t, picked by the hue's sextant
+    through _SEXTANT in one gather; shape (len(v), 3).
+    """
     h6 = (h % 1.0) * 6.0
     i = np.floor(h6).astype(np.int64) % 6
     f = h6 - np.floor(h6)
-    p = np.zeros_like(v)
-    q = v * (1.0 - f)
-    t = v * (1.0 - (1.0 - f))
-    r = np.choose(i, [v, q, p, p, t, v])
-    g = np.choose(i, [t, v, v, q, p, p])
-    b = np.choose(i, [p, p, t, v, v, q])
-    return np.stack([r, g, b], axis=-1)
+    stack = np.stack([v, v * (1.0 - f), np.zeros_like(v), v * (1.0 - (1.0 - f))])
+    return np.take_along_axis(stack, _SEXTANT[i].T, axis=0).T
 
 
 def render_phase_plot(series: EigenfunctionSeries, eta: float,
@@ -413,30 +421,55 @@ def render_phase_plot(series: EigenfunctionSeries, eta: float,
     encodes |w| relative to its maximum, saturation is 1. Pixels whose
     centre lies outside the annulus are black: the colours are computed
     for the inside pixels only and scattered into a zeroed image, and an
-    annulus that holds no pixel centre renders all black. The function is
-    pure: identical inputs produce byte-identical files. Returns the
-    (resolution, resolution, 3) uint8 image array.
+    annulus that holds no pixel centre renders all black. The radial
+    profile is evaluated once, at the distinct radii of the inside pixels.
+    The pixels then go in two passes over blocks of at most _util.BLOCK
+    (_util.blocks): the first stores |w| and the hue of each inside
+    pixel, whose largest |w| scales the value; the second colours each
+    block and scatters it into the image. The function is pure: identical
+    inputs produce byte-identical files. Returns the (resolution,
+    resolution, 3) uint8 image array.
     """
     if not (float(resolution).is_integer() and 8 <= resolution <= 2048):
         raise SpectrumError(f"resolution must be an integer in [8, 2048], got {resolution}")
     a, b = grid.a, grid.b
     n = int(resolution)
     coords = -b + 2.0 * b * (np.arange(n) + 0.5) / n
-    X, Y = np.meshgrid(coords, -coords)  # image rows run top to bottom
-    rr = np.hypot(X, Y)
-    inside = (rr >= a) & (rr <= b)
+    ys = -coords[:, None]  # image rows run top to bottom
+    r = np.hypot(coords, ys)
+    inside = (r >= a) & (r <= b)
+    r = r[inside]  # frees the whole grid of radii before np.unique copies these
+    radii, inverse = np.unique(r, return_inverse=True)
+    del r
+    radial = radial_part(series, eta, radii)
+    l = series.mode.l
 
-    w = eigenfunction_value(series, eta, rr[inside], np.arctan2(Y[inside], X[inside]))
-    mag = np.abs(w)
+    # pass 1: |w| and hue of the inside pixels, in row-major order
+    mag, hue = np.empty(len(inverse)), np.empty(len(inverse))
+    start = 0
+    for rows, cols in _util.blocks(n, n):
+        mask = inside[rows, cols]
+        x = np.broadcast_to(coords[cols], mask.shape)[mask]
+        y = np.broadcast_to(ys[rows], mask.shape)[mask]
+        seg = slice(start, start + len(x))
+        w = _with_phase(radial[inverse[seg]], l, np.arctan2(y, x))
+        np.abs(w, out=mag[seg])
+        hue[seg] = (np.angle(w) + np.pi) / (2.0 * np.pi)
+        start = seg.stop
     peak = mag.max(initial=0.0)
-    hue = (np.angle(w) + np.pi) / (2.0 * np.pi)
-    rgb = _hsv_to_rgb(hue, mag / (peak if peak > 0.0 else 1.0))
+    scale = peak if peak > 0.0 else 1.0
+
+    # pass 2: colour each block and scatter it into the image
     img = np.zeros((n, n, 3), dtype=np.uint8)
-    img[inside] = np.clip(np.rint(rgb * 255.0), 0, 255).astype(np.uint8)
+    start = 0
+    for rows, cols in _util.blocks(n, n):
+        mask = inside[rows, cols]
+        seg = slice(start, start + np.count_nonzero(mask))
+        rgb = _hsv_to_rgb(hue[seg], mag[seg] / scale)
+        img[rows, cols][mask] = np.clip(np.rint(rgb * 255.0), 0, 255).astype(np.uint8)
+        start = seg.stop
 
-    from ._util import replacing
-
-    with replacing(path, "wb") as f:
+    with _util.replacing(path, "wb") as f:
         f.write(f"P6\n{n} {n}\n255\n".encode("ascii"))
         f.write(img.tobytes())
     return img

@@ -275,7 +275,7 @@ def classify_multimode(params: KineticParams, l: float, k_max: int, a: float,
     s1, s2 = roots(T, D)
     k = int(np.argmax(s1.real))
     return MultimodeResult(k, _verdict(float(T[k]), float(D[k]), complex(s1[k]), complex(s2[k]),
-                                       _label_codes(T, D)[k]))
+                                       _label_codes(T[k], D[k])))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Shared test config: deterministic hypothesis profile, acceptance summary,
-failing stand-ins."""
+failing stand-ins, traced memory peaks."""
+
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -34,3 +36,22 @@ def unreached():
             raise AssertionError(f"{name} was reached")
         return fail
     return make
+
+
+@pytest.fixture
+def traced_peak_mb():
+    """traced_peak_mb(fn) runs fn and returns the peak of the memory traced by
+    tracemalloc meanwhile, above what was traced before it, in MB."""
+    def measure(fn):
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        try:
+            fn()
+            return (tracemalloc.get_traced_memory()[1] - held) / 2**20
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+    return measure

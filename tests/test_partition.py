@@ -2,12 +2,13 @@
 
 import hashlib
 import os
+import sys
 
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
-from annulus_rd import partition
+from annulus_rd import _util, partition
 from annulus_rd.geometry import make_annulus
 from annulus_rd.partition import (
     CODE_LABELS,
@@ -121,6 +122,22 @@ def test_sweep_thread_determinism():
     assert np.array_equal(lab1, lab4)
 
 
+def test_sweep_workers_past_the_cores_fill_every_block(monkeypatch):
+    # eight workers on blocks of 7 cells, the interpreter switching threads
+    # every microsecond: each block written into the uninitialized map once,
+    # so a block lost or misplaced shows against the oracle
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(_util, "BLOCK", 7)
+    spec = _spec(21.0, 8.0, n=40)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        labels = sweep_classify(spec, threads=8).labels
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(labels, first_principles_labels(spec))
+
+
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """Worker counts asked of a stand-in pool that maps in this thread.
@@ -163,6 +180,19 @@ def test_sweep_threads_capped_at_cores(monkeypatch, pool_sizes, cores, pools):
     region = sweep_classify(spec, threads=1000)
     assert pool_sizes == pools
     assert np.array_equal(region.labels, sweep_classify(spec).labels)
+
+
+@pytest.mark.parametrize("threads", [1.5, 2.5, 0, -3, True, "2", None])
+def test_sweep_refuses_threads_that_are_not_counts(threads):
+    # 1.5 raised the pool's TypeError, 2.5 ran, 0 and -3 ran serially
+    with pytest.raises(PartitionInputError, match="threads must be an integer of at least 1"):
+        sweep_classify(_spec(21.0, 8.0, n=20), threads=threads)
+
+
+def test_sweep_accepts_numpy_thread_counts():
+    spec = _spec(21.0, 8.0, n=20)
+    assert np.array_equal(sweep_classify(spec, threads=np.int64(2)).labels,
+                          sweep_classify(spec).labels)
 
 
 def test_turing_cells_nest_with_increasing_d():
@@ -327,6 +357,65 @@ def test_bisect_roots_of_the_discriminant():
         assert np.allclose(roots, want, rtol=0.0, atol=1e-13), alpha
 
 
+# beta roots at piece boundaries of a row cut into blocks of 7: a sign
+# change from grid[13] to grid[14], a zero at grid[21], and one that no
+# block boundary meets
+def _boundary_roots(alpha, beta):
+    return (beta - 0.5 * (_GRID[13] + _GRID[14])) * (beta - _GRID[21]) * (beta - alpha)
+
+
+@pytest.mark.parametrize("block", [7, 2 * 2001 + 1])
+def test_block_size_changes_no_output(monkeypatch, block):
+    # rows cut into pieces (7), and blocks of whole rows that do not divide
+    # the grid (two beta grids and one value): the same labels, curve points
+    # and bisection roots as the default blocks, for one thread and for two
+    spec = _spec(21.0, 8.0, n=50)
+    alphas = np.linspace(0.005, 0.995, 25)
+    fn_alphas = np.array([0.1, 0.41234, _GRID[600]])
+
+    def outputs():
+        curves = build_curves(spec, alphas)
+        roots = partition._bisect_roots(_boundary_roots, fn_alphas, 0.005, 1.0)
+        return (sweep_classify(spec).labels.tobytes(),
+                sweep_classify(spec, threads=2).labels.tobytes(),
+                curves.discriminant.tobytes(), curves.transcritical.tobytes(),
+                [r.tobytes() for r in roots])
+
+    want = outputs()
+    assert all(len(r) == 3 * 8 for r in want[-1])  # three float64 roots per alpha
+    monkeypatch.setattr(_util, "BLOCK", block)
+    assert outputs() == want
+
+
+def test_blocks_tile_the_grid_in_row_major_order(monkeypatch):
+    for block, n_rows, n_cols in ((7, 3, 20), (40, 5, 8), (40, 3, 40), (16384, 2, 2001)):
+        monkeypatch.setattr(_util, "BLOCK", block)
+        seen = []
+        for rows, cols in _util.blocks(n_rows, n_cols):
+            cells = np.arange(n_rows * n_cols).reshape(n_rows, n_cols)[rows, cols]
+            assert 0 < cells.size <= block
+            seen.extend(cells.ravel())
+        assert seen == list(range(n_rows * n_cols))
+
+
+def test_empty_alpha_set_gives_no_curve_points():
+    curves = build_curves(_spec(21.0, 8.0), [])
+    assert curves.discriminant.shape == curves.transcritical.shape == (0, 2)
+
+
+def test_sweep_memory_stays_in_blocks(traced_peak_mb):
+    # whole-grid temporaries took 57 MB of traced memory at 1000 x 1000;
+    # the 1 MB label map and the blocks' temporaries take about 2
+    spec = _spec(21.0, 8.0, n=1000)
+    assert traced_peak_mb(lambda: sweep_classify(spec, threads=1)) < 6.0
+
+
+def test_curve_memory_stays_in_blocks(traced_peak_mb):
+    # a batch of 256 beta grids took 15.8 MB of traced memory; one block takes about 1
+    spec = SweepSpec(0.005, 0.995, 0.005, 1.0, 2, 2, 21.0, 8.0, MODE, GEOM)
+    assert traced_peak_mb(lambda: build_curves(spec, np.linspace(0.005, 0.995, 256))) < 4.0
+
+
 def _random_coefs(rows, width):
     return np.random.default_rng(20261019).normal(size=(rows, width))
 
@@ -349,9 +438,10 @@ def test_companion_roots_match_polynomial_roots(polys):
 
 @pytest.mark.parametrize("curve", [discriminant_curve, transcritical_curve])
 def test_curve_batches_bound_the_bisection_grid(monkeypatch, curve):
-    # samples go in batches, so no T/D evaluation spans more than one batch
-    # of beta grids, and the points are those of a single batch; shuffled,
-    # every batch holds points of both curves
+    # the beta grids are scanned in blocks of whole rows, at most BLOCK grid
+    # values each, and the brackets halved in batches, so no T/D evaluation
+    # spans more than one block; the points are those of a single batch;
+    # shuffled, every batch holds points of both curves
     spec = _spec(21.0, 8.0)
     batch = partition._CURVE_BATCH
     alphas = np.random.default_rng(7).permutation(np.linspace(0.005, 1.0, 2 * batch + batch // 2))
@@ -359,12 +449,12 @@ def test_curve_batches_bound_the_bisection_grid(monkeypatch, curve):
 
     def spy(alpha, beta, *args):
         sizes.append(np.broadcast(alpha, beta).size)
-        assert sizes[-1] <= batch * 2001
+        assert sizes[-1] <= _util.BLOCK
         return trace_det(alpha, beta, *args)
 
     monkeypatch.setattr(partition, "_trace_det", spy)
     batched = curve(spec, alphas)
-    assert max(sizes) == batch * 2001
+    assert max(sizes) == _util.BLOCK // 2001 * 2001
     assert all(np.isin(part, batched[:, 0]).any() for part in np.split(alphas, [batch, 2 * batch]))
     monkeypatch.setattr(partition, "_trace_det", trace_det)
     monkeypatch.setattr(partition, "_CURVE_BATCH", len(alphas))

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import hankel1, jv, yv
 
+from annulus_rd import _util
 from annulus_rd.geometry import make_annulus, build_polar_grid
 from annulus_rd.spectrum import (
     _bessel_y,
+    _hsv_to_rgb,
     ModeIndex,
     SpectrumError,
     WeightingProfile,
@@ -345,6 +347,52 @@ def test_render_golden_bytes(tmp_path, radii, k, l, resolution):
     outside = (rr < a) | (rr > b)
     assert outside.any() and not img[outside].any()
     assert img[~outside].any() == (~outside).any()
+
+
+def _render(tmp_path, radii, k, l, resolution, name="mode.ppm"):
+    geom = make_annulus(*radii)
+    mode = ModeIndex(k, l)
+    path = tmp_path / name
+    img = render_phase_plot(build_series(mode), float(np.sqrt(eigenvalue(mode, geom))),
+                            build_polar_grid(geom, N=16, M=8), path, resolution=resolution)
+    return img, path.read_bytes()
+
+
+@pytest.mark.parametrize("block", [7, 3 * 64 + 5])
+def test_render_block_size_changes_no_byte(tmp_path, monkeypatch, block):
+    # rows cut into pieces (7), and blocks of three whole rows, the last of
+    # one row (197): the default blocks' bytes
+    _, want = _render(tmp_path, (0.5, 1.0), 2, 1.3, 64)
+    monkeypatch.setattr(_util, "BLOCK", block)
+    assert _render(tmp_path, (0.5, 1.0), 2, 1.3, 64)[1] == want
+
+
+def test_render_of_annulus_without_pixel_centres_is_black(tmp_path):
+    # no pixel centre of the 8 px grid lies in the 0.96-1 annulus
+    img, data = _render(tmp_path, (0.96, 1.0), 2, 1.3, 8)
+    assert not img.any()
+    assert data == b"P6\n8 8\n255\n" + bytes(3 * 8 * 8)
+
+
+def test_hsv_sextant_table_matches_hsv_definition():
+    # each sextant's channels, as the (r, g, b) of colorsys at saturation 1
+    import colorsys
+
+    h = (np.arange(6 * 7) + 0.5) / 42.0
+    v = np.linspace(0.1, 1.0, len(h))
+    want = np.array([colorsys.hsv_to_rgb(hue, 1.0, value) for hue, value in zip(h, v)])
+    assert np.allclose(_hsv_to_rgb(h, v), want, rtol=0.0, atol=1e-15)
+
+
+def test_render_memory_stays_in_blocks(tmp_path, traced_peak_mb):
+    # whole-image complex temporaries took 105 MB of traced memory at 1024 px;
+    # np.unique of the inside radii, |w| and hue of those pixels take about 30
+    mode = ModeIndex(1, 0.3)
+    eta = float(np.sqrt(eigenvalue(mode, GEOM)))
+    peak = traced_peak_mb(lambda: render_phase_plot(build_series(mode), eta,
+                                                    build_polar_grid(GEOM, N=16, M=8),
+                                                    tmp_path / "mode.ppm", resolution=1024))
+    assert peak < 40.0
 
 
 def test_spectrum_csv_export(tmp_path):

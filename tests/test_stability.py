@@ -308,6 +308,18 @@ def test_multimode_equals_per_mode_classify_point(params, form):
     assert res.verdict == verdicts[k]
 
 
+@pytest.mark.parametrize("form", FORMS)
+def test_multimode_verdict_is_classify_point_at_selected_eigenvalue(form):
+    # over a small (alpha, beta) grid the verdict, label included, is
+    # classify_point's at the selected mode's eta^2
+    eta_sq = stability._mode_eigenvalues(1.3, 12, 0.5, 0.5)
+    for alpha in np.linspace(0.02, 0.98, 5):
+        for beta in np.linspace(0.02, 0.98, 5):
+            params = KineticParams(alpha, beta, 250.0, 10.0)
+            res = classify_multimode(params, 1.3, 12, 0.5, 0.5, form)
+            assert res.verdict == classify_point(params, float(eta_sq[res.selected_k]), form)
+
+
 def test_multimode_builds_one_verdict(monkeypatch):
     # the selected mode's verdict is read off the 13-mode arrays: one roots
     # and one sign-table call on those, one verdict built
