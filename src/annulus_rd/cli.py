@@ -12,9 +12,9 @@ key, built-in default. Config files are INI text with one section per
 module; each subcommand reads the section of the module it drives
 (spectrum and eigenmode read [spectrum], classify and curves read
 [partition], simulate reads [fem], mesh reads [geometry]) and the shared
-flags read [cli]. A section accepts the keys of every subcommand that
-reads it; each subcommand ignores its siblings' keys. Values are parsed
-in full double precision.
+flag --out reads [cli]. A section accepts the keys of every subcommand
+that reads it; each subcommand ignores its siblings' keys. Values are
+parsed in full double precision.
 
 Every run appends one JSON line to <out>/manifest.jsonl recording the
 resolved configuration, package version, output digests and wall time.
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import os
 import sys
 import time
 from pathlib import Path
@@ -59,7 +58,6 @@ class CliError(Exception):
 
 def _usage_error(msg): return CliError("E_USAGE", EXIT_USAGE, msg)
 def _config_error(msg): return CliError("E_CONFIG", EXIT_CONFIG, msg)
-def _domain_error(msg): return CliError("E_DOMAIN", EXIT_DOMAIN, msg)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +131,7 @@ def _make_sweep_spec(opt, n_alpha, n_beta):
 
 def _cmd_classify(opt, out_dir):
     spec = _make_sweep_spec(opt, opt["n_alpha"], opt["n_beta"])
-    region = partition.sweep_classify(spec, threads=opt["threads"] or os.cpu_count() or 1)
+    region = partition.sweep_classify(spec)
     paths = [out_dir / "region.csv", out_dir / "region.pgm", out_dir / "region_legend.txt"]
     partition.export_region_map(region, paths[0], raster_path=paths[1], legend_path=paths[2])
     counts = region.counts()
@@ -214,8 +212,6 @@ def _cmd_verify(opt, out_dir):
 # text into a value, and a _flag option is a switch without a value
 _GLOBAL_OPTS = (
     ("out", str, "out", "output directory"),
-    ("threads", int, 0, "worker cap for sweeps; 0 means all cores"),
-    ("form", str, "consistent", "determinant form: consistent or paper-literal"),
 )
 
 _ANNULUS = (
@@ -225,6 +221,7 @@ _ANNULUS = (
 _PLANE_MODE = (
     ("k", int, 0, "mode index"),
     ("l", float, 0.27, "order"),
+    ("form", str, "consistent", "determinant form: consistent or paper-literal"),
 ) + _ANNULUS
 
 # subcommand: (config section, options, handler)
@@ -284,17 +281,13 @@ _SUBCOMMANDS = {
 def execute(name: str, out_dir, **overrides):
     """Run subcommand `name` into out_dir and return (paths, summary, ok).
 
-    Options are keyed by underscored name, shared flags included; those not
+    Options are keyed by underscored name, the shared out included; those not
     given take the subcommand's defaults. Nothing is printed and no
     manifest line is written.
     """
     _, opts, handler = _SUBCOMMANDS[name]
     opt = {flag.replace("-", "_"): default for flag, _, default, _ in opts + _GLOBAL_OPTS}
     opt.update(overrides)
-    if opt["form"] not in stability.FORMS:
-        raise _usage_error(f"--form must be one of {stability.FORMS}, got {opt['form']!r}")
-    if opt["threads"] < 0:
-        raise _domain_error(f"threads must be 0 (all cores) or positive, got {opt['threads']}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     return handler(opt, out_dir)

@@ -574,8 +574,16 @@ def simulate(config: RunConfig, ops: FemOperators | None = None) -> RunRecord:
     return record
 
 
-def monitor_peaks(record: RunRecord, species: str = "u", start_time: float = 2.0,
-                  min_separation: float = 0.5, min_height: float = 5e-4) -> np.ndarray:
+# Monitor peak detection: ignore the start-up transient (t < 2), require
+# separation 0.5 and height above the convergence threshold.
+PEAK_START = 2.0
+PEAK_SEPARATION = 0.5
+PEAK_HEIGHT = 5e-4
+
+
+def monitor_peaks(record: RunRecord, species: str = "u", start_time: float = PEAK_START,
+                  min_separation: float = PEAK_SEPARATION,
+                  min_height: float = PEAK_HEIGHT) -> np.ndarray:
     """Times of separated local maxima of the monitor after the transient.
 
     Peaks before start_time (the initial instability transient) are ignored,

@@ -1,8 +1,9 @@
 """Classification of the (alpha, beta) parameter plane into stability regions.
 
 A sweep evaluates the trace/determinant classification of `stability` on a
-rectangular grid and returns an integer-coded region map. The boundaries
-between regions are the two partitioning curves:
+rectangular grid, block by block on the calling thread, and returns an
+integer-coded region map. The boundaries between regions are the two
+partitioning curves:
 
 * discriminant zero, T^2 = 4D, separating real from complex growth rates;
 * trace zero with positive determinant, the temporal-instability onset.
@@ -25,8 +26,6 @@ the sweep cell for cell.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,39 +120,21 @@ class RegionMap:
                 for label, code in LABEL_CODES.items()}
 
 
-def sweep_classify(spec: SweepSpec, threads: int = 1) -> RegionMap:
+def sweep_classify(spec: SweepSpec, threads=None) -> RegionMap:
     """Classify every grid cell, in blocks of at most _util.BLOCK cells.
 
     Each block of rows (or piece of a row longer than a block) is
     classified on its own and written into its place in the map, so no
-    temporary spans the whole grid. threads, an integer of at least 1,
-    caps the worker threads a pool maps the blocks over; at most one
-    worker runs per row and per core, whatever threads asks. Every cell
-    is computed alike in any block, so the map is identical for any
-    thread count.
+    temporary spans the whole grid. threads is accepted and ignored: the
+    sweep runs on the calling thread, and bench/workloads.py still passes it.
     """
-    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
-        raise PartitionInputError(f"threads must be an integer of at least 1, got {threads!r}")
     alphas, betas = spec.alphas, spec.betas
     eta_sq = spec.eta_sq
     labels = np.empty((spec.n_beta, spec.n_alpha), dtype=np.int8)
-
-    def classify(block) -> None:
-        rows, cols = block
+    for rows, cols in _util.blocks(spec.n_beta, spec.n_alpha):
         T, D = _trace_det(alphas[None, cols], betas[rows, None], spec.gamma, spec.d, eta_sq,
                           spec.form)
         labels[rows, cols] = _label_codes(T, D)
-
-    grid_blocks = _util.blocks(spec.n_beta, spec.n_alpha)
-    # a worker past one per row would have no row of its own, and one past
-    # one per core would only wait for a core
-    threads = min(threads, spec.n_beta, os.cpu_count() or 1)
-    if threads == 1:
-        for block in grid_blocks:
-            classify(block)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(classify, grid_blocks))
     labels.setflags(write=False)
     return RegionMap(spec, labels)
 
@@ -254,37 +235,37 @@ def _merge_close(values: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     return np.array(out)
 
 
-def _bisect_roots(fn, alphas: np.ndarray, lo: float, hi: float,
-                  samples: int = 2001) -> list[np.ndarray]:
+# beta grid values per alpha in the sign scan of _bisect_roots
+_BISECT_SAMPLES = 2001
+
+
+def _bisect_roots(fn, alphas: np.ndarray, lo: float, hi: float) -> list[np.ndarray]:
     """All simple roots in beta on [lo, hi] of fn(alpha, beta), for each alpha.
 
     fn broadcasts over its two arguments. It is evaluated on the beta grid
-    linspace(lo, hi, samples) for every alpha, one block of at most
-    _util.BLOCK grid values per call (_util.blocks: whole alpha rows, or
-    pieces of one row, in row-major order); a sign change between
-    neighbouring grid values brackets a root, and the brackets of all
-    alphas are halved together, one fn call per halving. A bracket stops
-    at an exact zero of fn, once narrower than 1e-15 max(1, |midpoint|), or
-    after 200 halvings. Grid values that are exactly zero are roots too.
-    Returns one sorted array per alpha, with roots closer than 1e-8 merged.
+    linspace(lo, hi, _BISECT_SAMPLES) for every alpha, a block of
+    max(1, _util.BLOCK // _BISECT_SAMPLES) whole alpha rows per call; a
+    sign change between neighbouring grid values brackets a root, and the
+    brackets of all alphas are halved together, one fn call per halving. A
+    bracket stops at an exact zero of fn, once narrower than
+    1e-15 max(1, |midpoint|), or after 200 halvings. Grid values that are
+    exactly zero are roots too. Returns one sorted array per alpha, with
+    roots closer than 1e-8 merged.
     """
-    grid = np.linspace(lo, hi, samples)
+    grid = np.linspace(lo, hi, _BISECT_SAMPLES)
     # brackets and zero cells in row-major order, block by block
     rows, cols, f0 = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
     zero_rows, zero_cols = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
-    for block_rows, block_cols in _util.blocks(len(alphas), samples):
-        vals = fn(alphas[block_rows, None], grid[block_cols])
+    step = max(1, _util.BLOCK // _BISECT_SAMPLES)
+    for start in range(0, len(alphas), step):
+        vals = fn(alphas[start:start + step, None], grid)
         r, c = np.nonzero(vals == 0.0)
-        zero_rows.append(r + block_rows.start)
-        zero_cols.append(c + block_cols.start)
-        first = block_cols.start
-        if first:  # a piece of a row: its first bracket starts at the last value before it
-            vals, first = np.concatenate([last, vals], axis=1), first - 1
-        last = vals[:, -1:]
+        zero_rows.append(r + start)
+        zero_cols.append(c)
         sign = np.sign(vals)
         r, c = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
-        rows.append(r + block_rows.start)
-        cols.append(c + first)
+        rows.append(r + start)
+        cols.append(c)
         f0.append(vals[r, c])
     rows, cols, f0 = np.concatenate(rows), np.concatenate(cols), np.concatenate(f0)
     zero_rows, zero_cols = np.concatenate(zero_rows), np.concatenate(zero_cols)

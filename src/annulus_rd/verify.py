@@ -72,13 +72,6 @@ _HEADLINE_RUNS = {
     "hopf": dict(params=HOPF_PARAMS, t_end=30.0, threshold=0.0, kinetics="split"),
 }
 
-# Monitor peak detection, shared by criterion 10 and its comparison against
-# criterion 9: ignore the start-up transient (t < 2), require separation 0.5
-# and height above the convergence threshold.
-PEAK_START = 2.0
-PEAK_SEPARATION = 0.5
-PEAK_HEIGHT = 5e-4
-
 
 @dataclass(frozen=True)
 class CriterionResult:
@@ -350,21 +343,18 @@ def criterion_9():
 def criterion_10():
     """Oscillatory run: recurrent maxima, run wall under 20 min; pattern run decays."""
     record, wall = headline_run("hopf")
-    peaks = fem.monitor_peaks(record, species="u", start_time=PEAK_START,
-                              min_separation=PEAK_SEPARATION, min_height=PEAK_HEIGHT)
+    peaks = fem.monitor_peaks(record)
     early = peaks[peaks <= 15.0]
     recurrent_ok = len(early) >= 2
 
     pattern, _ = headline_run("turing")
-    pattern_peaks = fem.monitor_peaks(pattern, species="u", start_time=PEAK_START,
-                                      min_separation=PEAK_SEPARATION,
-                                      min_height=PEAK_HEIGHT)
+    pattern_peaks = fem.monitor_peaks(pattern)
     rate_u = pattern.monitor[:, 1]
     times = pattern.monitor[:, 0]
     if len(pattern_peaks) > 0:
         tail = rate_u[times >= pattern_peaks[-1]]
     else:
-        tail = rate_u[times >= PEAK_START]
+        tail = rate_u[times >= fem.PEAK_START]
     worst_rise = float(np.diff(tail).max()) if len(tail) > 1 else 0.0
     monotone_ok = len(pattern_peaks) <= 1 and worst_rise < 1e-6
 

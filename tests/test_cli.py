@@ -73,12 +73,17 @@ def test_no_arguments_is_usage_error(tmp_path, monkeypatch, capsys):
 
 def test_unknown_flag_is_usage_error(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    code, err = main_exit(monkeypatch, capsys, "spectrum", "--frequency", "3")
-    assert code == 2, err
-    assert "E_USAGE:" in err
+    # the sweep runs on one thread, and only classify and curves read a form
+    for argv in (("spectrum", "--frequency", "3"), ("classify", "--threads", "2"),
+                 ("simulate", "--form", "paper-literal")):
+        code, err = main_exit(monkeypatch, capsys, *argv)
+        assert code == 2, err
+        assert err.startswith("E_USAGE:") and argv[1] in err
+    assert not written_files(tmp_path)
 
 
 def test_bad_form_is_usage_error(tmp_path, monkeypatch, capsys):
+    # spectrum reads no determinant form, so it has no --form flag
     monkeypatch.chdir(tmp_path)
     code, err = main_exit(monkeypatch, capsys, "spectrum", "--form", "folk")
     assert code == 2, err
@@ -102,7 +107,8 @@ def test_unknown_config_key(tmp_path, monkeypatch, capsys):
     assert "wavelength" in err
 
     # keys of removed options are unknown too
-    for section, key in (("spectrum", "truncation"), ("cli", "seedless")):
+    for section, key in (("spectrum", "truncation"), ("cli", "seedless"), ("cli", "threads"),
+                         ("cli", "form")):
         cfg.write_text(f"[{section}]\n{key} = 1\n")
         code, err = main_exit(monkeypatch, capsys, "eigenmode", "--config", "cfg.ini")
         assert code == 3, err
@@ -122,11 +128,12 @@ def test_config_sections_accept_sibling_keys(tmp_path):
     config = manifest_lines(tmp_path / "e")[0]["config"]
     assert config["a"] == 0.4 and "k_max" not in config
 
-    (tmp_path / "partition.ini").write_text("[partition]\nn-alpha = 50\n")
+    (tmp_path / "partition.ini").write_text("[partition]\nn-alpha = 50\nform = paper-literal\n")
     proc = run_cli("curves", "--config", "partition.ini", "--n-samples", "10",
                    "--out", "c", cwd=tmp_path)
     assert_exit(proc, 0)
-    assert "n_alpha" not in manifest_lines(tmp_path / "c")[0]["config"]
+    config = manifest_lines(tmp_path / "c")[0]["config"]
+    assert "n_alpha" not in config and config["form"] == "paper-literal"
 
 
 def test_bad_values(tmp_path, monkeypatch, capsys):
@@ -170,6 +177,13 @@ def test_domain_errors(tmp_path, monkeypatch, capsys):
                           "--h", "0.2")
     assert code == 4, err
     assert "E_DOMAIN:" in err and "kinetics" in err
+
+    # the SweepSpec refuses an unknown determinant form, as RunConfig a kinetics
+    for sub in ("classify", "curves"):
+        code, err = main_exit(monkeypatch, capsys, sub, "--form", "folk", "--out", "folk")
+        assert code == 4, err
+        assert err.startswith("E_DOMAIN:") and "form" in err and "'folk'" in err
+        assert not written_files(tmp_path / "folk")
 
     code, err = main_exit(monkeypatch, capsys, "spectrum", "--l-start", "0.5")
     assert code == 4, err
@@ -261,12 +275,6 @@ def test_domain_errors(tmp_path, monkeypatch, capsys):
         code, err = main_exit(monkeypatch, capsys, *args)
         assert code == 4, err
         assert "E_DOMAIN:" in err and limit in err
-
-    # a negative worker cap was silently taken as "all cores"
-    code, err = main_exit(monkeypatch, capsys, "classify", "--n-alpha", "4", "--n-beta", "4",
-                          "--threads", "-3")
-    assert code == 4, err
-    assert "E_DOMAIN:" in err and "threads" in err
 
 
 @pytest.mark.parametrize("argv, site", [
@@ -397,13 +405,11 @@ def test_simulate_smoke(tmp_path):
 
 def test_shared_flags_accepted(tmp_path):
     proc = run_cli("classify", "--n-alpha", "20", "--n-beta", "20",
-                   "--form", "paper-literal", "--threads", "2",
-                   "--out", "o", cwd=tmp_path)
+                   "--form", "paper-literal", "--out", "o", cwd=tmp_path)
     assert_exit(proc, 0)
     entry = manifest_lines(tmp_path / "o")[0]
     assert entry["config"]["form"] == "paper-literal"
-    assert "seedless" not in entry["config"]
-    assert entry["config"]["threads"] == 2
+    assert "seedless" not in entry["config"] and "threads" not in entry["config"]
 
 
 def test_verify_report_and_exit_code(tmp_path, monkeypatch, capsys):

@@ -1,8 +1,6 @@
 """Partition: parameter-plane sweeps, curve extraction, exports."""
 
 import hashlib
-import os
-import sys
 
 import numpy as np
 import pytest
@@ -115,84 +113,11 @@ def test_first_principles_requires_consistent_form():
         first_principles_labels(spec)
 
 
-def test_sweep_thread_determinism():
-    spec = _spec(21.0, 8.0, n=50)
-    lab1 = sweep_classify(spec, threads=1).labels
-    lab4 = sweep_classify(spec, threads=4).labels
-    assert np.array_equal(lab1, lab4)
-
-
-def test_sweep_workers_past_the_cores_fill_every_block(monkeypatch):
-    # eight workers on blocks of 7 cells, the interpreter switching threads
-    # every microsecond: each block written into the uninitialized map once,
-    # so a block lost or misplaced shows against the oracle
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(_util, "BLOCK", 7)
-    spec = _spec(21.0, 8.0, n=40)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        labels = sweep_classify(spec, threads=8).labels
-    finally:
-        sys.setswitchinterval(interval)
-    assert np.array_equal(labels, first_principles_labels(spec))
-
-
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Worker counts asked of a stand-in pool that maps in this thread.
-
-    No thread is started whatever count is asked for.
-    """
-    seen = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(partition, "ThreadPoolExecutor", SerialPool)
-    return seen
-
-
-def test_sweep_threads_capped_at_rows(monkeypatch, pool_sizes):
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    spec = _spec(21.0, 8.0, n=20)
-    region = sweep_classify(spec, threads=1000)
-    assert pool_sizes == [20]
-    assert np.array_equal(region.labels, sweep_classify(spec).labels)
-
-
-@pytest.mark.parametrize("cores, pools", [(3, [3]), (None, [])])
-def test_sweep_threads_capped_at_cores(monkeypatch, pool_sizes, cores, pools):
-    # threads past the core count only wait; an unknown count means one
-    # worker, which runs in this thread without a pool
-    monkeypatch.setattr(os, "cpu_count", lambda: cores)
-    spec = _spec(21.0, 8.0, n=20)
-    region = sweep_classify(spec, threads=1000)
-    assert pool_sizes == pools
-    assert np.array_equal(region.labels, sweep_classify(spec).labels)
-
-
-@pytest.mark.parametrize("threads", [1.5, 2.5, 0, -3, True, "2", None])
-def test_sweep_refuses_threads_that_are_not_counts(threads):
-    # 1.5 raised the pool's TypeError, 2.5 ran, 0 and -3 ran serially
-    with pytest.raises(PartitionInputError, match="threads must be an integer of at least 1"):
-        sweep_classify(_spec(21.0, 8.0, n=20), threads=threads)
-
-
-def test_sweep_accepts_numpy_thread_counts():
-    spec = _spec(21.0, 8.0, n=20)
-    assert np.array_equal(sweep_classify(spec, threads=np.int64(2)).labels,
-                          sweep_classify(spec).labels)
+def test_sweep_rows_longer_than_a_block():
+    # at the real block size, each row of 20,000 cells is cut into pieces
+    spec = SweepSpec(0.005, 1.0, 0.005, 1.0, 20_000, 2, 21.0, 8.0, MODE, GEOM)
+    assert spec.n_alpha > _util.BLOCK
+    assert np.array_equal(sweep_classify(spec).labels, first_principles_labels(spec))
 
 
 def test_turing_cells_nest_with_increasing_d():
@@ -357,27 +282,26 @@ def test_bisect_roots_of_the_discriminant():
         assert np.allclose(roots, want, rtol=0.0, atol=1e-13), alpha
 
 
-# beta roots at piece boundaries of a row cut into blocks of 7: a sign
-# change from grid[13] to grid[14], a zero at grid[21], and one that no
-# block boundary meets
-def _boundary_roots(alpha, beta):
+# beta roots of three kinds: a sign change from grid[13] to grid[14], an
+# exact zero at grid[21], and one that moves with alpha
+def _mixed_roots(alpha, beta):
     return (beta - 0.5 * (_GRID[13] + _GRID[14])) * (beta - _GRID[21]) * (beta - alpha)
 
 
 @pytest.mark.parametrize("block", [7, 2 * 2001 + 1])
 def test_block_size_changes_no_output(monkeypatch, block):
-    # rows cut into pieces (7), and blocks of whole rows that do not divide
-    # the grid (two beta grids and one value): the same labels, curve points
-    # and bisection roots as the default blocks, for one thread and for two
+    # sweep rows cut into pieces (7), and blocks of whole rows that do not
+    # divide the grid (two beta grids and one value; the bisection scan takes
+    # one whole beta grid per call at 7): the same labels, curve points and
+    # bisection roots as the default blocks
     spec = _spec(21.0, 8.0, n=50)
     alphas = np.linspace(0.005, 0.995, 25)
     fn_alphas = np.array([0.1, 0.41234, _GRID[600]])
 
     def outputs():
         curves = build_curves(spec, alphas)
-        roots = partition._bisect_roots(_boundary_roots, fn_alphas, 0.005, 1.0)
+        roots = partition._bisect_roots(_mixed_roots, fn_alphas, 0.005, 1.0)
         return (sweep_classify(spec).labels.tobytes(),
-                sweep_classify(spec, threads=2).labels.tobytes(),
                 curves.discriminant.tobytes(), curves.transcritical.tobytes(),
                 [r.tobytes() for r in roots])
 
@@ -407,7 +331,7 @@ def test_sweep_memory_stays_in_blocks(traced_peak_mb):
     # whole-grid temporaries took 57 MB of traced memory at 1000 x 1000;
     # the 1 MB label map and the blocks' temporaries take about 2
     spec = _spec(21.0, 8.0, n=1000)
-    assert traced_peak_mb(lambda: sweep_classify(spec, threads=1)) < 6.0
+    assert traced_peak_mb(lambda: sweep_classify(spec)) < 6.0
 
 
 def test_curve_memory_stays_in_blocks(traced_peak_mb):

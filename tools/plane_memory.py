@@ -45,7 +45,7 @@ def _stages(inputs, state, out: Path):
     """(name, run) per stage; run() writes its outputs and returns them, as paths or bytes."""
 
     def classify():
-        region = partition.sweep_classify(state.sweep, threads=os.cpu_count() or 1)
+        region = partition.sweep_classify(state.sweep)
         paths = [out / "region.csv", out / "region.pgm", out / "region_legend.txt"]
         partition.export_region_map(region, *paths)
         return paths
